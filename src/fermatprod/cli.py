@@ -13,6 +13,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import analytic, cyclotomic, partitions, prodorders
 from .errors import (
@@ -314,7 +315,9 @@ def _cmd_verify_all(args) -> RunReport:
     return RunReport("verify-all", {"long": args.long}, all(ok for _, ok, _ in checks), payload)
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--long", action="store_true", help="unlock long-running scales")

@@ -1,19 +1,27 @@
 """Exact p-adic valuations of P(m, n) = prod_{x <= m} (x^(2^n) + 1).
 
 alpha_p comes from root counting in residue classes (never from scanning
-values), the complete valuation table additionally factors the cofactor of
-each x^(2^n)+1 that survives stripping the primes below the scan bound, and
-chain links certify that a single anchored prime keeps some order at most
-2^n across a verified interval of m.
+values).  The complete valuation table factors every x^(2^n)+1 on one
+strip-and-split path: 2 and every split prime p <= B are divided out
+through their root classes mod p, B = max(m, min(isqrt(m^(2^n)+1), 1024 m,
+2^20)), and the residual is split.  Each residual prime is certified in one
+of three ways: by size, when it lies below (B+1)^2 (it has no prime factor
+<= B); by deterministic 64-bit Miller-Rabin below 2^64; or by Baillie-PSW
+above 2^64.  For p <= m the strip's exponent sum is checked against
+alpha_p.  Chain links certify that a single anchored prime keeps some order
+at most 2^n across a verified interval of m.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import gcd, isqrt
-from typing import Iterator
+from typing import Iterator, NamedTuple
+
+import numpy as np
 
 from .analytic import final_inequality_crossing, primes_upto
 from .errors import (
@@ -188,8 +196,14 @@ def _probable_prime(v: int) -> bool:
     return _strong_base2(v) and _strong_lucas(v)
 
 
-def _rho_brent(v: int) -> int:
-    """Nontrivial factor of composite odd v; deterministic parameter sweep."""
+def _rho_brent(v: int, k: int) -> int:
+    """Nontrivial factor of composite odd v: Brent's cycle search on y -> y^k + c.
+
+    k = 2 is Pollard's polynomial.  The odd prime factors of x^(2^n)+1 are
+    all 1 mod 2^(n+1), and for them k = 2^(n+1) shortens the cycles (Brent
+    and Pollard, "Factorization of the eighth Fermat number", Math. Comp.
+    1981).  The constant c sweeps 1, 2, ... until v splits.
+    """
     if v % 2 == 0:
         return 2
     c = 1
@@ -199,39 +213,50 @@ def _rho_brent(v: int) -> int:
         while g == 1:
             x = y
             for _ in range(r):
-                y = (y * y + c) % v
-            k = 0
-            while k < r and g == 1:
+                y = (pow(y, k, v) + c) % v
+            j = 0
+            while j < r and g == 1:
                 ys = y
-                for _ in range(min(m_, r - k)):
-                    y = (y * y + c) % v
+                for _ in range(min(m_, r - j)):
+                    y = (pow(y, k, v) + c) % v
                     q = q * abs(x - y) % v
                 g = gcd(q, v)
-                k += m_
+                j += m_
             r <<= 1
         if g == v:
             g = 1
             while g == 1:
-                ys = (ys * ys + c) % v
+                ys = (pow(ys, k, v) + c) % v
                 g = gcd(abs(x - ys), v)
         if g != v:
             return g
         c += 1
 
 
-def _factor_into(c: int, out: dict[int, int]) -> None:
-    """Accumulate the prime factorization of c into out."""
+def _factor_into(c: int, out: dict[int, int], k: int, proven: int) -> None:
+    """Accumulate the prime factorization of c into out.
+
+    Parts below `proven` are recorded as prime with no test: the caller
+    vouches that every divisor of c in (1, proven) is prime, as 4 does for
+    any c.  Larger parts go through _probable_prime, and composites are
+    split by _rho_brent(., k), every factor checked by exact division.
+    """
     stack = [c]
     while stack:
         v = stack.pop()
         if v == 1:
             continue
-        if _probable_prime(v):
+        if v < proven or _probable_prime(v):
             out[v] = out.get(v, 0) + 1
             continue
-        d = _rho_brent(v)
-        stack.append(d)
-        stack.append(v // d)
+        r = isqrt(v)
+        if r * r == v:
+            stack += (r, r)
+            continue
+        d = _rho_brent(v, k)
+        if not 1 < d < v or v % d:
+            raise ArithmeticError(f"rho returned {d}, not a proper divisor of {v}")
+        stack += (d, v // d)
 
 
 @dataclass(frozen=True, eq=True)
@@ -246,56 +271,198 @@ class ValuationTable:
         return _balanced_prod([p**a for p, a in sorted(self.alpha.items())])
 
 
-def _split_prime_list(n: int, limit: int) -> list[int]:
-    step = 1 << (n + 1)
-    return [int(p) for p in primes_upto(limit).tolist() if p % step == 1]
+# --- split-prime root table --------------------------------------------------
+#
+# Stripping needs, for every prime p <= B with p = 1 (mod 2^(n+1)), the 2^n
+# roots of x^(2^n) = -1 (mod p).  They are built for all such p at once by
+# vectorised int64 modular exponentiation, exact while p < 2^31 (every
+# product stays below 2^62), and every row is verified before it is used.
+
+_ROOT_TABLE_START = 1 << 10
+ROOT_TABLE_CAP = 1 << 20
+
+
+class _RootTable(NamedTuple):
+    """Split primes up to limit, ascending, and per row their 2^n roots."""
+
+    limit: int
+    primes: np.ndarray
+    roots: np.ndarray
+
+
+_root_tables: dict[int, _RootTable] = {}
+_root_tables_lock = threading.Lock()
+
+
+def _powmod_array(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """Elementwise base^exp mod mod, exact for mod < 2^31."""
+    result = np.ones_like(mod)
+    base = base % mod
+    while exp.any():
+        odd = (exp & 1).astype(bool)
+        result = np.where(odd, result * base % mod, result)
+        base = base * base % mod
+        exp = exp >> 1
+    return result
+
+
+def _split_roots(n: int, primes: np.ndarray) -> np.ndarray:
+    """Rows of the 2^n roots of x^(2^n) = -1 mod p, for split primes p < 2^31.
+
+    The construction of ntcore.roots_of_minus_one, vectorised: for the least
+    g with g^((p-1)/2) = -1, z = g^((p-1)/2^(n+1)) is a primitive
+    2^(n+1)-th root of unity, so its 2^n odd powers are distinct and are all
+    the roots.  Every entry is checked to satisfy r^(2^n) = -1 (mod p).
+    """
+    col = primes[:, None]
+    z = np.zeros_like(primes)
+    todo = np.arange(len(primes))
+    expo = (primes - 1) >> (n + 1)
+    g = 2
+    while todo.size:
+        p = primes[todo]
+        c = _powmod_array(np.full_like(p, g), expo[todo], p)
+        t = c
+        for _ in range(n):
+            t = t * t % p
+        hit = t == p - 1  # c^(2^n) = g^((p-1)/2) = -1: g is a non-residue
+        z[todo[hit]] = c[hit]
+        todo = todo[~hit]
+        g += 1
+    z2 = z * z % primes
+    powers = [z]
+    for _ in range((1 << n) - 1):
+        powers.append(powers[-1] * z2 % primes)
+    roots = np.stack(powers, axis=1)
+    check = roots
+    for _ in range(n):
+        check = check * check % col
+    if not (check == col - 1).all():
+        raise ArithmeticError(f"root table for n={n} failed verification")
+    return roots
+
+
+def _root_table(n: int, limit: int) -> _RootTable:
+    """The level-n root table, covering at least every split prime <= limit.
+
+    One table is kept per n and grown by doubling up to ROOT_TABLE_CAP,
+    where the three levels 1..3 take about 1.2 MB together.  A published
+    table is never mutated: growth builds a new one from the old rows plus
+    the rows of the new primes.
+    """
+    if limit > ROOT_TABLE_CAP:
+        raise ValueError(f"root tables reach {ROOT_TABLE_CAP}, got {limit}")
+    table = _root_tables.get(n)
+    if table is not None and table.limit >= limit:
+        return table
+    with _root_tables_lock:
+        table = _root_tables.get(n)
+        if table is not None and table.limit >= limit:
+            return table
+        old = table.limit if table is not None else 0
+        new = max(old, _ROOT_TABLE_START)
+        while new < limit:
+            new *= 2
+        primes = primes_upto(new)
+        primes = primes[(primes > old) & (primes % (1 << (n + 1)) == 1)]
+        # computed in int64, stored in int32: every entry is below the cap
+        roots = _split_roots(n, primes).astype(np.int32)
+        primes = primes.astype(np.int32)
+        if table is not None:
+            primes = np.concatenate((table.primes, primes))
+            roots = np.concatenate((table.roots, roots))
+        primes.flags.writeable = False
+        roots.flags.writeable = False
+        table = _RootTable(new, primes, roots)
+        _root_tables[n] = table
+        return table
+
+
+# --- strip and split -----------------------------------------------------------
+
+
+def _strip_and_split(
+    m: int, n: int, factors: list[list[int]] | None = None
+) -> dict[int, int]:
+    """Exponent sums p -> ord_p(P(m, n)) over the factorizations of x^(2^n)+1.
+
+    Every odd prime factor of x^(2^n)+1 is 1 mod 2^(n+1).  Once 2 and every
+    such prime p <= B (met through its root classes mod p) are divided out,
+    a residual has no prime factor <= B, so one below (B+1)^2 is prime with
+    no test.  Larger residuals are tested by _probable_prime and the
+    composites split by rho on y -> y^(2^(n+1)) + c.  Every residual prime
+    must exceed B and be 1 mod 2^(n+1), and for every split p <= m the
+    strip's exponent sum must equal alpha_p; anything else raises
+    ArithmeticError.  If factors is given (m+1 empty lists), factors[x]
+    also receives the primes of x^(2^n)+1 with multiplicity.
+    """
+    e = 1 << n
+    step = e << 1
+    # B >= m brings every prime that alpha_p values into the strip; B at
+    # isqrt(m^(2^n)+1) would leave only prime residuals, and the caps keep
+    # the root table and the strip small.
+    bound = max(m, min(isqrt(m**e + 1), 1024 * m, ROOT_TABLE_CAP))
+    proven = (bound + 1) ** 2
+    table = _root_table(n, bound)
+    rows = int(np.searchsorted(table.primes, bound, side="right"))
+    roots = table.roots[:rows]
+    primes = np.broadcast_to(table.primes[:rows, None], roots.shape)
+    in_range = roots <= m
+    vals = [x**e + 1 for x in range(m + 1)]
+    for x in range(1, m + 1, 2):
+        vals[x] >>= 1
+        if factors is not None:
+            factors[x].append(2)
+    alpha = {2: alpha_two(m, n)}
+    for r, p in zip(roots[in_range].tolist(), primes[in_range].tolist()):
+        a = 0
+        for x in range(r, m + 1, p):
+            v = vals[x]
+            if v % p:
+                raise ArithmeticError(f"{p} does not divide {x}^(2^{n})+1")
+            v //= p
+            k = 1
+            while v % p == 0:
+                v //= p
+                k += 1
+            vals[x] = v
+            a += k
+            if factors is not None:
+                factors[x] += [p] * k
+        alpha[p] = alpha.get(p, 0) + a
+    for x in range(1, m + 1):
+        v = vals[x]
+        if v == 1:
+            continue
+        if v < proven:
+            found = {v: 1}
+        else:
+            found = {}
+            _factor_into(v, found, step, proven)
+        for q, a in found.items():
+            if q <= bound or (q - 1) % step:
+                raise ArithmeticError(f"cofactor splitter produced inadmissible prime {q}")
+            alpha[q] = alpha.get(q, 0) + a
+            if factors is not None:
+                factors[x] += [q] * a
+    for p in table.primes[: int(np.searchsorted(table.primes, m, side="right"))].tolist():
+        if alpha.get(p, 0) != alpha_p(m, n, p):
+            raise ArithmeticError(f"strip and root counting disagree at p={p}")
+    return alpha
 
 
 def build_valuation_table(m: int, n: int) -> ValuationTable:
     """Complete exact valuation table of P(m, n) for m up to 100000.
 
-    Primes at most m are valued by root counting; each x^(2^n)+1 is then
-    stripped of those primes and of 2, and the surviving cofactor is factored
-    outright, which contributes the primes above m.  Every resulting prime
-    must be 2 or lie in 1 + 2^(n+1) Z.
+    Built by _strip_and_split: residual primes are certified by the size
+    bound below (B+1)^2, by deterministic 64-bit Miller-Rabin, or by BPSW
+    above 2^64, and every split prime p <= m is checked against alpha_p.
     """
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     if m > TABLE_CAP:
         raise InfeasibleSizeError(f"table building supported for m <= {TABLE_CAP}, got {m}")
-    e = 1 << n
-    step = 1 << (n + 1)
-    alpha: dict[int, int] = {2: alpha_two(m, n)}
-    smalls = _split_prime_list(n, m)
-    for p in smalls:
-        a = alpha_p(m, n, p)
-        if a:
-            alpha[p] = a
-    vals = [0] * (m + 1)
-    for x in range(1, m + 1):
-        v = x**e + 1
-        if x & 1:
-            v >>= 1
-        vals[x] = v
-    for p in smalls:
-        for r in roots_of_minus_one(n, p).roots:
-            for x in range(r, m + 1, p):
-                v = vals[x]
-                while v % p == 0:
-                    v //= p
-                vals[x] = v
-    for x in range(1, m + 1):
-        c = vals[x]
-        if c > 1:
-            found: dict[int, int] = {}
-            _factor_into(c, found)
-            for q, a in found.items():
-                if q <= m or (q - 1) % step:
-                    raise ArithmeticError(
-                        f"cofactor splitter produced inadmissible prime {q}"
-                    )
-                alpha[q] = alpha.get(q, 0) + a
-    return ValuationTable(m, n, alpha)
+    return ValuationTable(m, n, _strip_and_split(m, n))
 
 
 def min_order(m: int, n: int) -> tuple[int, int]:
@@ -312,66 +479,33 @@ def is_qth_power_obstructed(table: ValuationTable, q: int) -> bool:
     return any(a % q for a in table.alpha.values())
 
 
-def min_order_scan(
-    m_max: int, n: int, strip_limit: int | None = None
-) -> Iterator[tuple[int, int, int]]:
+def min_order_scan(m_max: int, n: int) -> Iterator[tuple[int, int, int]]:
     """Yield (m, p, ord) of the minimal-order prime for every m = 1..m_max.
 
-    Valuations are accumulated incrementally from the exact factorization of
-    each x^(2^n)+1: primes up to strip_limit (default max(m_max, 10^5)) are
-    stripped via their residue classes, remaining cofactors are factored.
-    Equivalent to min_order(m, n) at every m, amortized across the range.
+    Valuations accumulate one value at a time from the factorizations that
+    _strip_and_split(m_max, n) records; equivalent to min_order(m, n) at
+    every m, amortized across the range.
     """
     if m_max < 1 or n < 1:
         raise ValueError(f"need m_max >= 1 and n >= 1, got m_max={m_max}, n={n}")
     if m_max > TABLE_CAP:
         raise InfeasibleSizeError(f"scan supported for m_max <= {TABLE_CAP}, got {m_max}")
-    e = 1 << n
-    step = 1 << (n + 1)
-    if strip_limit is None:
-        strip_limit = max(m_max, 100_000)
-    splits = _split_prime_list(n, strip_limit)
-    marks: list[list[int]] = [[] for _ in range(m_max + 1)]
-    for p in splits:
-        for r in roots_of_minus_one(n, p).roots:
-            for x in range(r, m_max + 1, p):
-                marks[x].append(p)
-
     alpha: dict[int, int] = {}
     counts: dict[int, int] = {}
     heaps: dict[int, list[int]] = {}
 
-    def bump(p: int, extra: int) -> None:
-        old = alpha.get(p, 0)
-        new = old + extra
-        alpha[p] = new
-        if old:
-            counts[old] -= 1
-            if not counts[old]:
-                del counts[old]
-        counts[new] = counts.get(new, 0) + 1
-        heappush(heaps.setdefault(new, []), p)
-
+    factors: list[list[int]] = [[] for _ in range(m_max + 1)]
+    _strip_and_split(m_max, n, factors)
     for x in range(1, m_max + 1):
-        v = x**e + 1
-        if x & 1:
-            bump(2, 1)
-            v >>= 1
-        for p in marks[x]:
-            o = 0
-            while v % p == 0:
-                v //= p
-                o += 1
-            bump(p, o)
-        if v > 1:
-            found: dict[int, int] = {}
-            _factor_into(v, found)
-            for q, o in found.items():
-                if (q - 1) % step:
-                    raise ArithmeticError(
-                        f"cofactor splitter produced inadmissible prime {q}"
-                    )
-                bump(q, o)
+        for p in factors[x]:
+            old = alpha.get(p, 0)
+            alpha[p] = old + 1
+            if old:
+                counts[old] -= 1
+                if not counts[old]:
+                    del counts[old]
+            counts[old + 1] = counts.get(old + 1, 0) + 1
+            heappush(heaps.setdefault(old + 1, []), p)
         o_min = min(counts)
         heap = heaps[o_min]
         while alpha.get(heap[0]) != o_min:

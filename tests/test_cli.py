@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fermatprod import cli
 from fermatprod.cli import main
 
 
@@ -131,3 +132,17 @@ class TestAnalytic:
     def test_domain_error_exits_2(self, capsys):
         # the progression bound is asserted only for n >= 2
         assert main(["analytic", "--check", "bt", "--n", "1"]) == 2
+
+
+class TestParser:
+    def test_parser_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_cached_parser_keeps_no_state(self, capsys):
+        # --x appends to its default list; a reused parser must not keep it
+        code, out = run(capsys, "analytic", "--check", "pi", "--x", "2000000", "--limit", "2000000", "--json")
+        assert code == 0
+        assert [r["x"] for r in json.loads(out)["payload"]["records"]] == [2000000]
+        code, out = run(capsys, "analytic", "--check", "pi", "--limit", "2000000", "--json")
+        assert code == 0
+        assert [r["x"] for r in json.loads(out)["payload"]["records"]] == [10**6, 2000000]

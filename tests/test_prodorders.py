@@ -1,10 +1,13 @@
 """prodorders: valuations, tables, chain links, ingredient bounds."""
 
 import math
+import random
+from collections import Counter
 
 import pytest
 
-from fermatprod.ntcore import is_prime
+from fermatprod import prodorders
+from fermatprod.ntcore import is_prime, roots_of_minus_one
 
 from fermatprod.analytic import primes_upto
 from fermatprod.errors import (
@@ -175,6 +178,68 @@ class TestFullRangeInvariants:
                     assert got == acc.get(p, 0), (m, n, p)
 
 
+class TestStripAndSplit:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_root_table_matches_roots_of_minus_one(self, n):
+        table = prodorders._root_table(n, 1 << 14)
+        step = 1 << (n + 1)
+        want = [p for p in primes_upto(1 << 14).tolist() if p % step == 1]
+        got = table.primes.tolist()
+        assert got[: len(want)] == want
+        for p, row in zip(want, table.roots.tolist()):
+            assert tuple(sorted(row)) == roots_of_minus_one(n, p).roots, (n, p)
+
+    def test_root_table_is_read_only(self):
+        table = prodorders._root_table(2, 1 << 12)
+        with pytest.raises(ValueError):
+            table.roots[0, 0] = 0
+        assert prodorders._root_table(2, 100) is prodorders._root_tables[2]
+
+    @pytest.mark.parametrize("n,m_top", [(1, 3000), (2, 1500), (3, 200)])
+    def test_table_matches_sympy_factorint(self, n, m_top):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(f"factorint:{n}")
+        e = 1 << n
+        for m in sorted(rng.randrange(1, m_top + 1) for _ in range(3)):
+            want: Counter = Counter()
+            for x in range(1, m + 1):
+                want.update(sympy.factorint(x**e + 1))
+            assert build_valuation_table(m, n).alpha == dict(want), (m, n)
+
+    @pytest.mark.parametrize("m,n", [(3000, 1), (1024, 2)])
+    def test_small_bound_needs_no_primality_or_rho(self, monkeypatch, m, n):
+        # below (B+1)^2 every residual is prime by size: n=1 always, n=2 for m <= 1024
+        want = build_valuation_table(m, n)
+
+        def refuse(*args):
+            raise AssertionError("primality test or rho called")
+
+        monkeypatch.setattr(prodorders, "is_prime", refuse)
+        monkeypatch.setattr(prodorders, "_rho_brent", refuse)
+        assert build_valuation_table(m, n) == want
+
+    def test_root_count_mismatch_raises(self, monkeypatch):
+        real = prodorders.alpha_p
+        monkeypatch.setattr(prodorders, "alpha_p", lambda m, n, p: real(m, n, p) + (p == 17))
+        with pytest.raises(ArithmeticError):
+            build_valuation_table(100, 2)
+
+    def test_missing_root_row_raises(self, monkeypatch):
+        # a split prime p <= B left out of the strip reaches the residuals,
+        # where it fails the inadmissible-prime check
+        real = prodorders._root_table(2, 1 << 12)
+        keep = real.primes != 41
+        short = prodorders._RootTable(real.limit, real.primes[keep], real.roots[keep])
+        monkeypatch.setattr(prodorders, "_root_table", lambda n, limit: short)
+        with pytest.raises(ArithmeticError, match="inadmissible prime 41"):
+            build_valuation_table(30, 2)  # 3^4+1 = 2 * 41 and B = 900
+
+    def test_rho_factors_are_proper_divisors(self):
+        for v, k in ((1000009 * 1000033, 8), ((2**61 - 1) * 1000003, 16), (65537 * 274177, 4)):
+            d = prodorders._rho_brent(v, k)
+            assert 1 < d < v and v % d == 0
+
+
 class TestCofactorMachinery:
     def test_probable_prime_agrees_below_64_bits(self):
         for v in (2, 3, 561, 1297, 2873716601617, (1 << 61) - 1, 10**15 + 37):
@@ -187,9 +252,9 @@ class TestCofactorMachinery:
         assert not _probable_prime((1 << 89) * 3 + 9)
 
     def test_factor_into_matches_naive(self):
-        for v in (97, 6**4 + 1, 91 * 89, 2**4 * 3**3 * 1297, 10**12 + 39):
+        for v in (97, 6**4 + 1, 91 * 89, 2**4 * 3**3 * 1297, 10**12 + 39, 10007**2, 3 * 10007**2):
             out = {}
-            _factor_into(v, out)
+            _factor_into(v, out, 2, 4)
             assert out == factorize_naive(v), v
 
 
