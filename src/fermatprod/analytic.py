@@ -1,7 +1,8 @@
 """Sieve-backed prime counting and numeric spot-checks of the analytic bounds.
 
-Two independent prime sieves (a numpy array sieve and a pure-Python segmented
-sieve) back pi, pi(x; q, a) and theta(x; q, a).  All logarithms are natural.
+One prime sieve, a numpy array sieve cached by get_sieve, backs pi,
+pi(x; q, a) and theta(x; q, a); the test suite checks it against an
+independent segmented sieve.  All logarithms are natural.
 Log-weighted sums are accumulated with math.fsum (Shewchuk compensated
 summation); a bound only counts as passed when its margin exceeds 1e-9,
 otherwise it is flagged ambiguous.
@@ -19,7 +20,6 @@ import numpy as np
 from .errors import BeyondSieveError
 
 DEFAULT_SIEVE_LIMIT = 10_000_000
-SEGMENT_SIZE = 1 << 20
 MARGIN_EPS = 1e-9
 
 
@@ -41,41 +41,6 @@ def primes_upto(limit: int) -> np.ndarray:
         if flags[p]:
             flags[p * p :: p] = False
     return np.flatnonzero(flags).astype(np.int64)
-
-
-def segmented_primes(limit: int, segment_size: int = SEGMENT_SIZE) -> np.ndarray:
-    """Odd-only segmented sieve; independent of primes_upto.
-
-    Base primes come from its own bytearray sieve, segments of the given size
-    are processed one at a time, so memory stays O(sqrt(limit) + segment).
-    """
-    if limit < 2:
-        return np.array([], dtype=np.int64)
-    base_limit = isqrt(limit)
-    base = bytearray([1]) * (base_limit + 1)
-    base[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(base_limit) + 1):
-        if base[p]:
-            base[p * p :: p] = b"\x00" * len(range(p * p, base_limit + 1, p))
-    base_primes = [p for p in range(3, base_limit + 1, 2) if base[p]]
-
-    out = [2] if limit >= 2 else []
-    low = 3
-    while low <= limit:
-        high = min(low + 2 * segment_size, limit + 1)  # exclusive, odd span
-        count = (high - low + 1) // 2
-        mask = bytearray([1]) * count
-        for p in base_primes:
-            start = max(p * p, ((low + p - 1) // p) * p)
-            if start % 2 == 0:
-                start += p
-            if start >= high:
-                continue
-            first = (start - low) // 2
-            mask[first::p] = b"\x00" * len(range(first, count, p))
-        out.extend(low + 2 * i for i in range(count) if mask[i])
-        low = high
-    return np.array(out, dtype=np.int64)
 
 
 @lru_cache(maxsize=4)

@@ -138,7 +138,7 @@ def _cmd_partitions(args) -> RunReport:
     }
     passed = report.satisfied and report.witness_r == len(extreme)
     if args.verify_minimality:
-        minimal = partitions.verify_minimality(args.n, allow_long=args.long)
+        minimal = partitions.verify_minimality(args.n)
         payload["minimality_verified"] = minimal
         passed = passed and minimal
     return RunReport("partitions", {"n": args.n}, passed, payload)
@@ -229,7 +229,7 @@ def _cmd_verify_all(args) -> RunReport:
     def partitions_check():
         top = 5 if args.long else 4
         for n in range(2, top + 1):
-            if not partitions.verify_minimality(n, allow_long=args.long):
+            if not partitions.verify_minimality(n):
                 return False, f"minimality fails at n={n}"
         return True, f"minimality verified for n=2..{top}"
 
@@ -280,13 +280,8 @@ def _cmd_verify_all(args) -> RunReport:
         return True, "no violation; all certificates verified"
 
     def analytic_check():
-        if args.long:
-            # the extended range runs on the segmented sieve
-            limit = 10**8
-            sieve = analytic.SievedPrimes(limit, analytic.segmented_primes(limit))
-        else:
-            limit = 10**7
-            sieve = analytic.get_sieve(limit)
+        limit = 10**8 if args.long else 10**7
+        sieve = analytic.get_sieve(limit)
         reports = [analytic.check_pi_bound((10**6, limit), sieve)]
         for n in (2, 3):
             reports.append(analytic.check_bt_bound(n, None, sieve))
@@ -320,7 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parse_args leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--long", action="store_true", help="unlock long-running scales")
 
     parser = argparse.ArgumentParser(
         prog="fermatprod",
@@ -367,6 +361,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ana.set_defaults(fn=_cmd_analytic)
 
     p_all = sub.add_parser("verify-all", parents=[common], help="run every default-scale check")
+    p_all.add_argument(
+        "--long", action="store_true", help="minimality up to n=5 and the bounds on a 10^8 sieve"
+    )
     p_all.set_defaults(fn=_cmd_verify_all)
 
     return parser

@@ -591,9 +591,8 @@ def single_entry_search(n: int, x_limit: int) -> CongruenceSystem | None:
     """
     total = big_n(n)
     e = 1 << n
-    step = 1 << (n + 1)
     b_max = _iroot(x_limit**e + 1, total)
-    primes = [p for p in range(step + 1, b_max + 1, step) if is_prime(p)]
+    primes = list(_split_primes(n, b_max))
     for x in range(1, x_limit + 1):
         v = x**e + 1
         b = _iroot(v, total)

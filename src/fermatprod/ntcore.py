@@ -1,5 +1,8 @@
 """Modular arithmetic kernels: primality, 2^n-th roots of -1, Hensel lifting.
 
+Every primality test of the package lives here: is_prime below 2^64, and
+is_probable_prime (Baillie-PSW above 2^64) for cofactor splitting.
+
 Everything operates on plain Python integers, so results stay exact at any
 size; CPython's native pow() provides the fast path below machine word sizes
 and switches to arbitrary precision transparently.  All functions are pure
@@ -11,13 +14,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 from .errors import NotARootError, NotSplittingError
 
 # Strong-pseudoprime witness set covering every composite below 2^64
 # (Sinclair's seven bases, checked against the Feitsma-Galway SPRP tables).
 _MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 PRIMALITY_LIMIT = 1 << 64
 
@@ -35,25 +39,12 @@ class RootSet:
     roots: tuple[int, ...]
 
 
-def is_prime(v: int) -> bool:
-    """Deterministic primality for 0 <= v < 2^64.
-
-    Inputs at or above 2^64 are refused with ValueError rather than answered
-    probabilistically; nothing in this package needs primality that large.
-    """
-    if v >= PRIMALITY_LIMIT:
-        raise ValueError(f"is_prime is deterministic only below 2^64, got {v}")
-    if v < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if v == p:
-            return True
-        if v % p == 0:
-            return False
+def _strong_probable_prime(v: int, bases: tuple[int, ...]) -> bool:
+    """One strong probable-prime round per base, for odd v > 2; bases = 0 mod v are skipped."""
     d = v - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_BASES_64:
+    for a in bases:
         a %= v
         if a == 0:
             continue
@@ -67,6 +58,94 @@ def is_prime(v: int) -> bool:
         else:
             return False
     return True
+
+
+def is_prime(v: int) -> bool:
+    """Deterministic primality for 0 <= v < 2^64.
+
+    Inputs at or above 2^64 are refused with ValueError rather than answered
+    probabilistically; is_probable_prime covers them where a probable prime
+    will do.
+    """
+    if v >= PRIMALITY_LIMIT:
+        raise ValueError(f"is_prime is deterministic only below 2^64, got {v}")
+    if v < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if v % p == 0:
+            return v == p
+    return _strong_probable_prime(v, _MR_BASES_64)
+
+
+def _jacobi(a: int, n: int) -> int:
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas(v: int) -> bool:
+    """Strong Lucas probable-prime test with Selfridge's parameters, for odd v."""
+    r = isqrt(v)
+    if r * r == v:
+        return False
+    D = 5
+    while True:
+        j = _jacobi(D, v)
+        if j == 0:
+            return abs(D) == v
+        if j == -1:
+            break
+        D = -(D + 2) if D > 0 else -(D - 2)
+    P, Q = 1, (1 - D) // 4
+    d = v + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    U, V, Qk = 1, P, Q % v
+    for bit in bin(d)[3:]:
+        U = U * V % v
+        V = (V * V - 2 * Qk) % v
+        Qk = Qk * Qk % v
+        if bit == "1":
+            U, V = P * U + V, D * U + P * V
+            if U & 1:
+                U += v
+            if V & 1:
+                V += v
+            U, V = U // 2 % v, V // 2 % v
+            Qk = Qk * Q % v
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % v
+        if V == 0:
+            return True
+        Qk = Qk * Qk % v
+    return False
+
+
+def is_probable_prime(v: int) -> bool:
+    """Primality by is_prime below 2^64, by the Baillie-PSW test above.
+
+    Baillie-PSW (a strong base-2 round plus a strong Lucas test with
+    Selfridge's parameters) is a probable-prime test, not a proof: no
+    composite passing it is known, and none exists below 2^64.  It is used
+    only to split cofactors of x^(2^n)+1 (prodorders), where every prime
+    reported is also checked to lie in the admissible residue class.
+    """
+    if v < PRIMALITY_LIMIT:
+        return is_prime(v)
+    if any(v % p == 0 for p in _SMALL_PRIMES):
+        return False
+    return _strong_probable_prime(v, (2,)) and _strong_lucas(v)
 
 
 def _least_nonresidue(p: int) -> int:

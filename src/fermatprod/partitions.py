@@ -5,20 +5,21 @@ every partition k_1 >= ... >= k_s of it has an index r with
 
     r >= floor(2^(n - floor(log2 k_r) - 1)) + 1.
 
-All log2 computations use bit lengths, never floating point.
+Minimality is proved by a counting argument over the extreme partition's
+caps, never by listing partitions; enumerate_partitions serves the
+cyclotomic search.  All log2 computations use bit lengths, never floating
+point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import InfeasibleSizeError
 
-# Exhaustive minimality checks: always allowed through n = 4; n = 5 walks
-# ~1.8e7 partitions of 81 and hides behind allow_long.
-MINIMALITY_DEFAULT_MAX = 4
-MINIMALITY_LONG_MAX = 5
+# extreme_partition builds 2^(n-1) + 1 parts; proving n = 20 minimal takes 0.6 s.
+PARTITION_MAX_N = 20
 
 
 @dataclass(frozen=True)
@@ -103,24 +104,25 @@ def extreme_partition(n: int) -> Partition:
     """The unique partition of big_n(n) that satisfies the condition only at its last part.
 
     It has s = 2^(n-1) + 1 parts: k_r = 2^(n - ceil(log2 r)) - 1 for r < s and
-    k_s = 1.
+    k_s = 1.  n above PARTITION_MAX_N raises InfeasibleSizeError.
     """
     if n < 1:
         raise ValueError(f"exponent level must be >= 1, got {n}")
+    if n > PARTITION_MAX_N:
+        raise InfeasibleSizeError(f"partitions supported for n <= {PARTITION_MAX_N}, got n={n}")
     s = (1 << (n - 1)) + 1
     parts = [(1 << (n - (r - 1).bit_length())) - 1 for r in range(1, s)]
     parts.append(1)
     return Partition(tuple(parts))
 
 
-def _iter_raw(total: int) -> Iterator[list[int]]:
-    """All partitions of total in reverse lexicographic order.
-
-    Yields a live work buffer for speed; callers must not mutate or retain it.
-    """
+def enumerate_partitions(total: int) -> Iterator[Partition]:
+    """Every partition of total exactly once, reverse lexicographic order."""
+    if total < 1:
+        raise ValueError(f"total must be >= 1, got {total}")
     a = [total]
     while True:
-        yield a
+        yield Partition(tuple(a))
         k = len(a) - 1
         while k >= 0 and a[k] == 1:
             k -= 1
@@ -136,59 +138,25 @@ def _iter_raw(total: int) -> Iterator[list[int]]:
             rem -= t
 
 
-def enumerate_partitions(total: int) -> Iterator[Partition]:
-    """Every partition of total exactly once, reverse lexicographic order."""
-    if total < 1:
-        raise ValueError(f"total must be >= 1, got {total}")
-    for buf in _iter_raw(total):
-        yield Partition(tuple(buf))
+def verify_minimality(n: int) -> bool:
+    """Prove by counting that big_n(n) is the least forcing total.
 
-
-def _threshold_by_bitlength(n: int, total: int) -> list[int]:
-    """thresholds[b] = r_bound(b - 1, n) for parts of bit length b <= bitlen(total)."""
-    return [0] + [r_bound(b - 1, n) for b in range(1, total.bit_length() + 1)]
-
-
-def _satisfies_fast(parts: Sequence[int], thresholds: Sequence[int]) -> bool:
-    """Existential condition check by blocks of equal bit length.
-
-    Within a block the threshold is constant, so only the block's last
-    (largest) index matters.
+    The caps c_r are the extreme partition without its last part.  As
+    r_bound falls with m, a part k_r fails at index r iff k_r <= c_r, and a
+    partition of r_bound(0, n) or more parts meets the condition at its last
+    index; so a failing partition has total at most sum(c_r) = big_n(n) - 1.
+    The caps themselves fail, so big_n(n) - 1 does not force.
     """
-    i, length = 0, len(parts)
-    while i < length:
-        b = parts[i].bit_length()
-        j = i + 1
-        while j < length and parts[j].bit_length() == b:
-            j += 1
-        if j >= thresholds[b]:
-            return True
-        i = j
-    return False
-
-
-def verify_minimality(n: int, allow_long: bool = False) -> bool:
-    """Exhaustively confirm that big_n(n) is the least forcing total.
-
-    True iff (a) every partition of big_n(n) satisfies the condition, and
-    (b) the truncated extreme partition of n*2^(n-1) does not, witnessing
-    that one less would not force it.  n <= 4 runs by default; n = 5 needs
-    allow_long; larger n raises InfeasibleSizeError.
-    """
-    if n < 1:
-        raise ValueError(f"exponent level must be >= 1, got {n}")
-    cap = MINIMALITY_LONG_MAX if allow_long else MINIMALITY_DEFAULT_MAX
-    if n > cap:
-        raise InfeasibleSizeError(
-            f"minimality enumeration supported for n <= {cap}"
-            f"{'' if allow_long else ' (n = 5 needs allow_long)'}, got n={n}"
-        )
-    total = big_n(n)
-    thresholds = _threshold_by_bitlength(n, total)
-    for parts in _iter_raw(total):
-        if not _satisfies_fast(parts, thresholds):
-            return False
-    truncated = extreme_partition(n).parts[:-1]
-    if satisfies_condition(truncated, n).satisfied:
-        return False
-    return True
+    caps = extreme_partition(n).parts[:-1]
+    falling = all(r_bound(m + 1, n) <= r_bound(m, n) for m in range(n))
+    tight = all(
+        r_bound(c.bit_length() - 1, n) > r >= r_bound((c + 1).bit_length() - 1, n)
+        for r, c in enumerate(caps, start=1)
+    )
+    return (
+        falling
+        and tight
+        and r_bound(0, n) == len(caps) + 1
+        and sum(caps) == big_n(n) - 1
+        and not satisfies_condition(caps, n).satisfied
+    )

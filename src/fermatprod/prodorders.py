@@ -6,10 +6,10 @@ strip-and-split path: 2 and every split prime p <= B are divided out
 through their root classes mod p, B = max(m, min(isqrt(m^(2^n)+1), 1024 m,
 2^20)), and the residual is split.  Each residual prime is certified in one
 of three ways: by size, when it lies below (B+1)^2 (it has no prime factor
-<= B); by deterministic 64-bit Miller-Rabin below 2^64; or by Baillie-PSW
-above 2^64.  For p <= m the strip's exponent sum is checked against
-alpha_p.  Chain links certify that a single anchored prime keeps some order
-at most 2^n across a verified interval of m.
+<= B); otherwise by ntcore.is_probable_prime, deterministic Miller-Rabin
+below 2^64 and Baillie-PSW above.  For p <= m the strip's exponent sum is
+checked against alpha_p.  Chain links certify that a single anchored prime
+keeps some order at most 2^n across a verified interval of m.
 """
 
 from __future__ import annotations
@@ -35,12 +35,12 @@ from .ntcore import (
     count_roots_upto,
     hensel_lift,
     is_prime,
+    is_probable_prime,
     roots_of_minus_one,
 )
 
 TABLE_CAP = 100_000
 BOUND_CHECK_CAP = 10_000
-_SMALL = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def alpha_two(m: int, n: int) -> int:
@@ -110,90 +110,7 @@ def product_value(m: int, n: int) -> int:
     return _balanced_prod([x**e + 1 for x in range(1, m + 1)])
 
 
-# --- probable-prime and cofactor machinery ---------------------------------
-#
-# Cofactors of x^(2^n)+1 can exceed 2^64, where ntcore.is_prime refuses to
-# answer.  There a Baillie-PSW check (strong base-2 test plus strong Lucas
-# with Selfridge parameters) stands in: no composite passing it is known and
-# none exists below 2^64.  It guards only cofactor splitting; every prime the
-# splitter reports is also checked to lie in the admissible residue class.
-
-
-def _jacobi(a: int, n: int) -> int:
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
-def _strong_base2(v: int) -> bool:
-    d = v - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
-    x = pow(2, d, v)
-    if x == 1 or x == v - 1:
-        return True
-    for _ in range(s - 1):
-        x = x * x % v
-        if x == v - 1:
-            return True
-    return False
-
-
-def _strong_lucas(v: int) -> bool:
-    r = isqrt(v)
-    if r * r == v:
-        return False
-    D = 5
-    while True:
-        j = _jacobi(D, v)
-        if j == 0:
-            return abs(D) == v
-        if j == -1:
-            break
-        D = -(D + 2) if D > 0 else -(D - 2)
-    P, Q = 1, (1 - D) // 4
-    d = v + 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
-    U, V, Qk = 1, P, Q % v
-    for bit in bin(d)[3:]:
-        U = U * V % v
-        V = (V * V - 2 * Qk) % v
-        Qk = Qk * Qk % v
-        if bit == "1":
-            U, V = P * U + V, D * U + P * V
-            if U & 1:
-                U += v
-            if V & 1:
-                V += v
-            U, V = U // 2 % v, V // 2 % v
-            Qk = Qk * Q % v
-    if U == 0 or V == 0:
-        return True
-    for _ in range(s - 1):
-        V = (V * V - 2 * Qk) % v
-        if V == 0:
-            return True
-        Qk = Qk * Qk % v
-    return False
-
-
-def _probable_prime(v: int) -> bool:
-    if v < PRIMALITY_LIMIT:
-        return is_prime(v)
-    for p in _SMALL:
-        if v % p == 0:
-            return False
-    return _strong_base2(v) and _strong_lucas(v)
+# --- cofactor splitting -------------------------------------------------------
 
 
 def _rho_brent(v: int, k: int) -> int:
@@ -238,7 +155,7 @@ def _factor_into(c: int, out: dict[int, int], k: int, proven: int) -> None:
 
     Parts below `proven` are recorded as prime with no test: the caller
     vouches that every divisor of c in (1, proven) is prime, as 4 does for
-    any c.  Larger parts go through _probable_prime, and composites are
+    any c.  Larger parts go through is_probable_prime, and composites are
     split by _rho_brent(., k), every factor checked by exact division.
     """
     stack = [c]
@@ -246,7 +163,7 @@ def _factor_into(c: int, out: dict[int, int], k: int, proven: int) -> None:
         v = stack.pop()
         if v == 1:
             continue
-        if v < proven or _probable_prime(v):
+        if v < proven or is_probable_prime(v):
             out[v] = out.get(v, 0) + 1
             continue
         r = isqrt(v)
@@ -389,7 +306,7 @@ def _strip_and_split(
     Every odd prime factor of x^(2^n)+1 is 1 mod 2^(n+1).  Once 2 and every
     such prime p <= B (met through its root classes mod p) are divided out,
     a residual has no prime factor <= B, so one below (B+1)^2 is prime with
-    no test.  Larger residuals are tested by _probable_prime and the
+    no test.  Larger residuals are tested by is_probable_prime and the
     composites split by rho on y -> y^(2^(n+1)) + c.  Every residual prime
     must exceed B and be 1 mod 2^(n+1), and for every split p <= m the
     strip's exponent sum must equal alpha_p; anything else raises
@@ -587,14 +504,6 @@ def validate_chain_link(link: ChainLink) -> None:
         raise ChainBreakError("next roots do not cover distinct residue classes")
     if link.cover_hi != max(link.next_roots) - 1:
         raise ChainBreakError("cover_hi does not match the largest next root")
-
-
-def chain_link_ok(link: ChainLink) -> bool:
-    try:
-        validate_chain_link(link)
-        return True
-    except ChainBreakError:
-        return False
 
 
 @dataclass(frozen=True)

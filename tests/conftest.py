@@ -6,7 +6,7 @@ def pytest_addoption(parser):
         "--runlong",
         action="store_true",
         default=False,
-        help="run long sweeps (full-range brute force, n=5 minimality)",
+        help="run long sweeps (full-range brute force, the n=5 minimality enumeration oracle, 1e8 sieves)",
     )
 
 

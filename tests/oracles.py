@@ -1,0 +1,78 @@
+"""Brute-force oracles the package no longer runs, kept to check its closed forms."""
+
+from functools import lru_cache
+from math import isqrt
+
+import numpy as np
+
+from fermatprod.partitions import big_n, enumerate_partitions, extreme_partition, r_bound
+
+SEGMENT_SIZE = 1 << 20
+
+
+def segmented_primes(limit: int, segment_size: int = SEGMENT_SIZE) -> np.ndarray:
+    """Odd-only segmented sieve; independent of analytic.primes_upto.
+
+    Base primes come from its own bytearray sieve, segments of the given size
+    are processed one at a time, so memory stays O(sqrt(limit) + segment).
+    """
+    if limit < 2:
+        return np.array([], dtype=np.int64)
+    base_limit = isqrt(limit)
+    base = bytearray([1]) * (base_limit + 1)
+    base[0:2] = b"\x00\x00"
+    for p in range(2, isqrt(base_limit) + 1):
+        if base[p]:
+            base[p * p :: p] = b"\x00" * len(range(p * p, base_limit + 1, p))
+    base_primes = [p for p in range(3, base_limit + 1, 2) if base[p]]
+
+    out = [2] if limit >= 2 else []
+    low = 3
+    while low <= limit:
+        high = min(low + 2 * segment_size, limit + 1)  # exclusive, odd span
+        count = (high - low + 1) // 2
+        mask = bytearray([1]) * count
+        for p in base_primes:
+            start = max(p * p, ((low + p - 1) // p) * p)
+            if start % 2 == 0:
+                start += p
+            if start >= high:
+                continue
+            first = (start - low) // 2
+            mask[first::p] = b"\x00" * len(range(first, count, p))
+        out.extend(low + 2 * i for i in range(count) if mask[i])
+        low = high
+    return np.array(out, dtype=np.int64)
+
+
+def _satisfies_by_blocks(parts, thresholds) -> bool:
+    """The existential condition, checked once per block of equal bit length.
+
+    Within a block the threshold is constant, so only the block's last
+    (largest) index matters.
+    """
+    i, length = 0, len(parts)
+    while i < length:
+        b = parts[i].bit_length()
+        j = i + 1
+        while j < length and parts[j].bit_length() == b:
+            j += 1
+        if j >= thresholds[b]:
+            return True
+        i = j
+    return False
+
+
+@lru_cache(maxsize=None)
+def minimality_by_enumeration(n: int) -> bool:
+    """big_n(n) is the least forcing total, by listing every partition of it.
+
+    True iff every partition of big_n(n) satisfies the condition and the
+    extreme partition without its last part, a partition of big_n(n) - 1,
+    does not.  n = 5 lists 1.8e7 partitions, so results are cached.
+    """
+    total = big_n(n)
+    thresholds = [0] + [r_bound(b - 1, n) for b in range(1, total.bit_length() + 1)]
+    if not all(_satisfies_by_blocks(p.parts, thresholds) for p in enumerate_partitions(total)):
+        return False
+    return not _satisfies_by_blocks(extreme_partition(n).parts[:-1], thresholds)

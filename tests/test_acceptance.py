@@ -7,6 +7,8 @@ pass; every stated tolerance and runtime cap is asserted here.
 import math
 import time
 
+import pytest
+
 from fermatprod.analytic import (
     check_bt_bound,
     check_logsum_bound,
@@ -34,6 +36,7 @@ from fermatprod.prodorders import (
     product_value,
     verify_chain_link,
 )
+from oracles import minimality_by_enumeration
 
 
 def report(num, ok, detail):
@@ -100,10 +103,18 @@ def test_criterion_04_partition_closed_forms():
 
 def test_criterion_05_minimality_by_enumeration():
     start = time.perf_counter()
-    results = {n: verify_minimality(n) for n in (2, 3, 4)}
+    results = {n: (verify_minimality(n), minimality_by_enumeration(n)) for n in (2, 3, 4)}
     elapsed = time.perf_counter() - start
-    ok = all(results.values()) and elapsed < 10.0
-    report(5, ok, f"minimality exhaustive for n=2,3,4 (7/101/10143 partitions), {elapsed:.2f}s")
+    ok = all(r == (True, True) for r in results.values()) and elapsed < 10.0
+    report(5, ok, f"closed-form minimality agrees with enumeration for n=2,3,4 (7/101/10143 partitions), {elapsed:.2f}s")
+
+
+@pytest.mark.long
+def test_criterion_05_minimality_by_enumeration_n5():
+    start = time.perf_counter()
+    ok = verify_minimality(5) and minimality_by_enumeration(5)
+    elapsed = time.perf_counter() - start
+    report(5, ok, f"closed-form minimality agrees with enumeration for n=5 (1.8e7 partitions), {elapsed:.1f}s")
 
 
 def test_criterion_06_valuation_oracle_equivalence():

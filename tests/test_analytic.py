@@ -15,10 +15,10 @@ from fermatprod.analytic import (
     pi,
     pi_ap,
     primes_upto,
-    segmented_primes,
     theta_ap,
 )
 from fermatprod.errors import BeyondSieveError
+from oracles import segmented_primes
 
 LIMIT = 10**6
 SIEVE = get_sieve(LIMIT)

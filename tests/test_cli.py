@@ -6,6 +6,7 @@ import pytest
 
 from fermatprod import cli
 from fermatprod.cli import main
+from fermatprod.partitions import PARTITION_MAX_N
 
 
 def run(capsys, *argv):
@@ -37,6 +38,11 @@ class TestOrders:
 
     def test_over_cap_exits_2(self, capsys):
         assert main(["orders", "1000000000", "2"]) == 2
+
+    def test_long_is_a_verify_all_flag(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["orders", "5", "2", "--long"])
+        assert exc.value.code == 2
 
 
 class TestChain:
@@ -81,6 +87,13 @@ class TestPartitions:
         code, out = run(capsys, "partitions", "2", "--verify-minimality", "--json")
         assert code == 0
         assert json.loads(out)["payload"]["minimality_verified"] is True
+
+    @pytest.mark.parametrize("flags", [[], ["--verify-minimality"]])
+    def test_every_size_exits_cleanly(self, capsys, flags):
+        # 0 inside 1..PARTITION_MAX_N, 2 outside it, never an uncaught exception
+        for n in range(-1, PARTITION_MAX_N + 2):
+            code, _ = run(capsys, "partitions", str(n), "--json", *flags)
+            assert code == (0 if 1 <= n <= PARTITION_MAX_N else 2), n
 
 
 class TestCyclotomic:

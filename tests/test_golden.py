@@ -1,4 +1,4 @@
-"""Golden digests: canonical orders output stays byte-identical."""
+"""Golden digests: canonical --json output stays byte-identical."""
 
 import hashlib
 import json
@@ -8,12 +8,28 @@ import pytest
 
 from fermatprod.cli import main
 
-GOLDEN = json.loads((Path(__file__).parent / "golden" / "orders_dump_alpha.json").read_text())
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = json.loads((GOLDEN_DIR / "orders_dump_alpha.json").read_text())
+CLI_GOLDEN = json.loads((GOLDEN_DIR / "cli_json.json").read_text())
+
+
+def stdout_digest(capsys, argv):
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN["sha256"]))
 def test_orders_dump_alpha_digest(capsys, key):
     m, n = key.split(",")
-    assert main(["orders", m, n, "--json", "--dump-alpha"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN["sha256"][key]
+    assert stdout_digest(capsys, ["orders", m, n, "--json", "--dump-alpha"]) == GOLDEN["sha256"][key]
+
+
+@pytest.mark.parametrize("command", sorted(CLI_GOLDEN["sha256"]))
+def test_cli_json_digest(capsys, command):
+    assert stdout_digest(capsys, command.split()) == CLI_GOLDEN["sha256"][command]
+
+
+@pytest.mark.long
+@pytest.mark.parametrize("command", sorted(CLI_GOLDEN["long"]))
+def test_cli_json_digest_long(capsys, command):
+    assert stdout_digest(capsys, command.split()) == CLI_GOLDEN["long"][command]

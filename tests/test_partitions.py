@@ -1,9 +1,11 @@
-"""partitions: thresholds, the extreme partition, exhaustive minimality."""
+"""partitions: thresholds, the extreme partition, closed-form minimality."""
 
 import pytest
 
+from fermatprod import partitions
 from fermatprod.errors import InfeasibleSizeError
 from fermatprod.partitions import (
+    PARTITION_MAX_N,
     Partition,
     big_n,
     enumerate_partitions,
@@ -12,6 +14,7 @@ from fermatprod.partitions import (
     satisfies_condition,
     verify_minimality,
 )
+from oracles import minimality_by_enumeration
 
 
 def partition_count_oracle(limit):
@@ -131,15 +134,30 @@ class TestEnumeration:
 
 class TestMinimality:
     def test_exhaustive_small_n(self):
-        assert verify_minimality(2)
-        assert verify_minimality(3)
-        assert verify_minimality(4)
+        for n in (1, 2, 3, 4):
+            assert minimality_by_enumeration(n), n
+            assert verify_minimality(n), n
 
-    def test_infeasible_without_flag(self):
+    def test_size_cap(self):
+        # test_cli proves n = 1..PARTITION_MAX_N minimal through the command line
         with pytest.raises(InfeasibleSizeError):
-            verify_minimality(5)
+            verify_minimality(PARTITION_MAX_N + 1)
         with pytest.raises(InfeasibleSizeError):
-            verify_minimality(6, allow_long=True)
+            extreme_partition(PARTITION_MAX_N + 1)
+        with pytest.raises(ValueError):
+            verify_minimality(0)
+
+    def test_wrong_forcing_total_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(partitions, "big_n", lambda n: n * (1 << (n - 1)) + 2)
+        for n in (1, 2, 3, 4, 5):
+            assert not verify_minimality(n), n
+
+    def test_wrong_part_count_threshold_is_rejected(self, monkeypatch):
+        # with r_bound(0, n) one higher the whole extreme partition fails too
+        real = partitions.r_bound
+        monkeypatch.setattr(partitions, "r_bound", lambda m, n: real(m, n) + (m == 0))
+        for n in (1, 2, 3, 4, 5):
+            assert not verify_minimality(n), n
 
     def test_extreme_is_pointwise_minimal(self):
         # any other partition of big_n(n) has more parts or a strictly bigger part
@@ -166,7 +184,8 @@ class TestMinimality:
 
     @pytest.mark.long
     def test_minimality_n5(self):
-        assert verify_minimality(5, allow_long=True)
+        assert minimality_by_enumeration(5)
+        assert verify_minimality(5)
 
 
 class TestPartitionType:

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from fermatprod import prodorders
-from fermatprod.ntcore import is_prime, roots_of_minus_one
+from fermatprod.ntcore import is_prime, is_probable_prime, roots_of_minus_one
 
 from fermatprod.analytic import primes_upto
 from fermatprod.errors import (
@@ -19,13 +19,11 @@ from fermatprod.errors import (
 from fermatprod.prodorders import (
     ChainLink,
     _factor_into,
-    _probable_prime,
     alpha_p,
     alpha_two,
     beta_p,
     bound_checks,
     build_valuation_table,
-    chain_link_ok,
     is_qth_power_obstructed,
     min_order,
     min_order_scan,
@@ -214,7 +212,7 @@ class TestStripAndSplit:
         def refuse(*args):
             raise AssertionError("primality test or rho called")
 
-        monkeypatch.setattr(prodorders, "is_prime", refuse)
+        monkeypatch.setattr(prodorders, "is_probable_prime", refuse)
         monkeypatch.setattr(prodorders, "_rho_brent", refuse)
         assert build_valuation_table(m, n) == want
 
@@ -243,13 +241,23 @@ class TestStripAndSplit:
 class TestCofactorMachinery:
     def test_probable_prime_agrees_below_64_bits(self):
         for v in (2, 3, 561, 1297, 2873716601617, (1 << 61) - 1, 10**15 + 37):
-            assert _probable_prime(v) == is_prime(v)
+            assert is_probable_prime(v) == is_prime(v)
 
     def test_probable_prime_above_64_bits(self):
         # (2^89 - 1) is a Mersenne prime; its neighbor is composite
-        assert _probable_prime((1 << 89) - 1)
-        assert not _probable_prime((1 << 89) - 3)
-        assert not _probable_prime((1 << 89) * 3 + 9)
+        assert is_probable_prime((1 << 89) - 1)
+        assert not is_probable_prime((1 << 89) - 3)
+        assert not is_probable_prime((1 << 89) * 3 + 9)
+
+    def test_probable_prime_matches_sympy_above_64_bits(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random("bpsw")
+        primes = [sympy.nextprime(rng.randrange(1 << 33, 1 << 90)) for _ in range(40)]
+        odd = [rng.randrange(1 << 64, 1 << 100) | 1 for _ in range(200)]
+        squares_and_products = [p * q for p, q in zip(primes, primes[1:] + primes[:1])] + [p * p for p in primes]
+        for v in primes + odd + squares_and_products:
+            if v >= 1 << 64:
+                assert is_probable_prime(v) == sympy.isprime(v), v
 
     def test_factor_into_matches_naive(self):
         for v in (97, 6**4 + 1, 91 * 89, 2**4 * 3**3 * 1297, 10**12 + 39, 10007**2, 3 * 10007**2):
@@ -292,13 +300,13 @@ class TestChainLinks:
         tampered = ChainLink(
             anchor=6, n=2, p=1297, next_roots=(216, 1081, 1290, 1303), cover_hi=1302
         )
-        assert not chain_link_ok(tampered)
         with pytest.raises(ChainBreakError):
             validate_chain_link(tampered)
         wrong_cover = ChainLink(
             anchor=6, n=2, p=1297, next_roots=(216, 1081, 1291, 1303), cover_hi=1200
         )
-        assert not chain_link_ok(wrong_cover)
+        with pytest.raises(ChainBreakError):
+            validate_chain_link(wrong_cover)
 
     def test_coverage_claim_directly(self):
         # within the covered range the anchored prime's order stays at most 4
