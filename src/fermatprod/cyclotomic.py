@@ -489,26 +489,19 @@ def iter_realizable_systems(
 ) -> Iterator[CongruenceSystem]:
     """One realization of every (prime, partition of big_n(n)) admitting distinct x <= x_limit.
 
-    For each split prime p <= p_limit and each partition k_1 >= ... >= k_s,
-    the x pool is sorted by capacity ord_p(x^(2^n)+1) descending (then x
-    ascending); the partition is realizable iff the i-th pooled capacity
-    covers k_i, which is the Hall condition for this threshold matching.
+    For each split prime p <= p_limit the x pool is sorted by capacity
+    ord_p(x^(2^n)+1) descending (then x ascending).  A partition
+    k_1 >= ... >= k_s is realizable iff the i-th pooled capacity covers k_i,
+    the Hall condition for this threshold matching; the capacities go to
+    enumerate_partitions as caps, so the condition holds by construction and
+    no unrealizable partition is generated.  The i-th part goes to the i-th
+    pooled x.
     """
     total = big_n(n)
     for p in _split_primes(n, p_limit):
-        orders = _orders_up_to(n, p, x_limit)
-        if not orders:
-            continue
-        pool = sorted(orders.items(), key=lambda kv: (-kv[1], kv[0]))
-        caps = [o for _, o in pool]
-        if sum(caps) < total:
-            continue
-        for part in enumerate_partitions(total):
+        pool = sorted(_orders_up_to(n, p, x_limit).items(), key=lambda kv: (-kv[1], kv[0]))
+        for part in enumerate_partitions(total, [o for _, o in pool]):
             ks = part.parts
-            if len(ks) > len(pool):
-                continue
-            if any(caps[i] < ks[i] for i in range(len(ks))):
-                continue
             yield CongruenceSystem.make(
                 n, p, tuple((pool[i][0], ks[i]) for i in range(len(ks)))
             )

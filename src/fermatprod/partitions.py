@@ -6,15 +6,17 @@ every partition k_1 >= ... >= k_s of it has an index r with
     r >= floor(2^(n - floor(log2 k_r) - 1)) + 1.
 
 Minimality is proved by a counting argument over the extreme partition's
-caps, never by listing partitions; enumerate_partitions serves the
-cyclotomic search.  All log2 computations use bit lengths, never floating
+caps, never by listing partitions.  enumerate_partitions lists the
+partitions of a total that fit under per-index caps; the cyclotomic search
+passes a prime's pool capacities, so it generates only the systems that
+prime can realize.  All log2 computations use bit lengths, never floating
 point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InfeasibleSizeError
 
@@ -116,26 +118,87 @@ def extreme_partition(n: int) -> Partition:
     return Partition(tuple(parts))
 
 
-def enumerate_partitions(total: int) -> Iterator[Partition]:
-    """Every partition of total exactly once, reverse lexicographic order."""
+def enumerate_partitions(total: int, caps: Sequence[int] | None = None) -> Iterator[Partition]:
+    """Every partition of total exactly once, reverse lexicographic order.
+
+    caps, if given, is a non-increasing bound per index: only partitions
+    with at most len(caps) parts and k_i <= caps[i] are generated, in the
+    same order as the unbounded listing.  A prefix whose remainder cannot fit
+    in the room the remaining caps leave is never extended, so the cost
+    follows the partitions yielded, not all partitions of total.
+
+    The step is the one of algorithm ZS1 (Zoghbi and Stojmenovic, 1998):
+    h indexes the last part above 1, a trailing 2 splits into 1 + 1 in place,
+    and any other step lowers the rightmost part it can by one and refills
+    the rest greedily.
+    """
     if total < 1:
         raise ValueError(f"total must be >= 1, got {total}")
-    a = [total]
+    if caps is None:
+        bound = [total] * total
+    else:
+        if any(c < 0 for c in caps) or any(x < y for x, y in zip(caps, caps[1:])):
+            raise ValueError(f"caps must be non-negative and non-increasing, got {caps}")
+        bound = [min(c, total) for c in caps[:total] if c]
+    size = len(bound)
+    # fits[v]: how many leading indices admit a part v; room[j]: sum(bound[j:])
+    fits = [size] * (total + 1)
+    room = [0] * (size + 1)
+    for j in range(size - 1, -1, -1):
+        room[j] = room[j + 1] + bound[j]
+    j = 0
+    for v in range(total, 0, -1):
+        while j < size and bound[j] >= v:
+            j += 1
+        fits[v] = j
+    if room[0] < total:
+        return
+    a: list[int] = []
+    h, k, v, rem = -1, -1, total, total
     while True:
+        # refill indices k+1.. with rem, parts at most v, largest first
+        j = k + 1
+        while True:
+            c = bound[j] if bound[j] < v else v
+            if c >= rem:
+                a.append(rem)
+                if rem > 1:
+                    h = j
+                break
+            q = rem // c
+            if q > fits[c] - j:
+                q = fits[c] - j
+            a += [c] * q
+            rem -= q * c
+            j += q
+            if c > 1:
+                h = j - 1
+            if not rem:
+                break
+            v = c
         yield Partition(tuple(a))
-        k = len(a) - 1
-        while k >= 0 and a[k] == 1:
-            k -= 1
-        if k < 0:
+        while h >= 0 and a[h] == 2 and len(a) < size:
+            a[h] = 1
+            a.append(1)
+            h -= 1
+            yield Partition(tuple(a))
+        if h < 0:
             return
-        rem = len(a) - 1 - k + 1
-        a[k] -= 1
-        cap = a[k]
+        # lower the rightmost part whose remainder still fits after it
+        k = h
+        rem = len(a) - k
+        while True:
+            v = a[k] - 1
+            f = fits[v]
+            if rem <= (v * (f - k - 1) + room[f] if f > k + 1 else room[k + 1]):
+                break
+            rem += a[k]
+            k -= 1
+            if k < 0:
+                return
+        a[k] = v
         del a[k + 1 :]
-        while rem:
-            t = cap if cap < rem else rem
-            a.append(t)
-            rem -= t
+        h = k if v > 1 else k - 1
 
 
 def verify_minimality(n: int) -> bool:

@@ -5,6 +5,7 @@ from math import isqrt
 
 import numpy as np
 
+from fermatprod.cyclotomic import CongruenceSystem, _orders_up_to, _split_primes
 from fermatprod.partitions import big_n, enumerate_partitions, extreme_partition, r_bound
 
 SEGMENT_SIZE = 1 << 20
@@ -76,3 +77,25 @@ def minimality_by_enumeration(n: int) -> bool:
     if not all(_satisfies_by_blocks(p.parts, thresholds) for p in enumerate_partitions(total)):
         return False
     return not _satisfies_by_blocks(extreme_partition(n).parts[:-1], thresholds)
+
+
+def realizable_systems_by_filter(n: int, p_limit: int, x_limit: int):
+    """iter_realizable_systems as list-then-filter: every partition of big_n(n), per prime."""
+    total = big_n(n)
+    for p in _split_primes(n, p_limit):
+        orders = _orders_up_to(n, p, x_limit)
+        if not orders:
+            continue
+        pool = sorted(orders.items(), key=lambda kv: (-kv[1], kv[0]))
+        caps = [o for _, o in pool]
+        if sum(caps) < total:
+            continue
+        for part in enumerate_partitions(total):
+            ks = part.parts
+            if len(ks) > len(pool):
+                continue
+            if any(caps[i] < ks[i] for i in range(len(ks))):
+                continue
+            yield CongruenceSystem.make(
+                n, p, tuple((pool[i][0], ks[i]) for i in range(len(ks)))
+            )

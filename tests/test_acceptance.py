@@ -176,7 +176,7 @@ def test_criterion_08_adversarial_prime_bound_search():
     start = time.perf_counter()
     certified = 0
     violation = None
-    for n in (1, 2):
+    for n in (1, 2, 3, 4):
         found = counterexample_search(n, 1000, 500)
         if found is not None:
             violation = found

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fermatprod import cli
+from fermatprod import cli, cyclotomic
 from fermatprod.cli import main
 from fermatprod.partitions import PARTITION_MAX_N
 
@@ -111,6 +111,23 @@ class TestCyclotomic:
         doc = json.loads(out)
         assert doc["payload"]["counterexample"] is None
         assert doc["payload"]["systems_certified"] > 0
+
+    def test_search_at_level_five(self, capsys):
+        code, out = run(
+            capsys,
+            "cyclotomic",
+            "--n", "5",
+            "--p-limit", "3000",
+            "--x-limit", "2000",
+            "--single-x-limit", "100",
+            "--json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["pass"] is True
+        systems = sum(1 for _ in cyclotomic.iter_realizable_systems(5, 3000, 2000))
+        assert systems > 0
+        assert doc["payload"]["systems_certified"] == systems
 
 
 class TestAnalytic:

@@ -27,6 +27,7 @@ from fermatprod.errors import (
 )
 from fermatprod.ntcore import hensel_lift
 from fermatprod.partitions import big_n, r_bound
+from oracles import realizable_systems_by_filter
 
 
 def zeta(level, e=1):
@@ -290,6 +291,14 @@ class TestPrimeBound:
                     assert s.p ** (1 << m) <= cert.norm_limit  # forces p <= 2(x+1)
                 checked += 1
         assert checked > 20
+
+    @pytest.mark.parametrize(
+        "n,p_limit,x_limit",
+        [(n, p, x) for n in (1, 2, 3, 4) for p, x in ((300, 200), (3000, 2000))] + [(4, 9168, 5386)],
+    )
+    def test_realizable_systems_match_filter_oracle(self, n, p_limit, x_limit):
+        got = list(iter_realizable_systems(n, p_limit, x_limit))
+        assert got == list(realizable_systems_by_filter(n, p_limit, x_limit))
 
     def test_realized_sweep_at_level_three(self):
         # small-x pools force many-part partitions, so the certificates all

@@ -5,6 +5,7 @@ import pytest
 from fermatprod.errors import NotARootError, NotSplittingError
 from fermatprod.ntcore import (
     PRIMALITY_LIMIT,
+    ROOT_CACHE_SIZE,
     count_roots_upto,
     hensel_lift,
     is_prime,
@@ -131,6 +132,10 @@ class TestHenselLift:
     def test_rejects_non_root(self):
         with pytest.raises(NotARootError):
             hensel_lift(2, 17, 3, 2)
+
+    def test_caches_are_bounded(self):
+        for cached in (roots_of_minus_one, lifted_roots):
+            assert cached.cache_info().maxsize == ROOT_CACHE_SIZE
 
     def test_lifted_rootset_shape(self):
         rs = lifted_roots(2, 17, 3)

@@ -121,15 +121,56 @@ class TestEnumeration:
         assert oracle[5] == 7 and oracle[13] == 101 and oracle[33] == 10143
 
     def test_reverse_lexicographic_and_unique(self):
-        seen = set()
-        prev = None
-        for p in enumerate_partitions(8):
-            assert p.total == 8
-            assert p.parts not in seen
-            seen.add(p.parts)
-            if prev is not None:
-                assert p.parts < prev  # tuple order = lexicographic
-            prev = p.parts
+        # with the recurrence counts above, this pins the whole listing
+        for total in (8, 20, 33):
+            seen = set()
+            prev = None
+            for p in enumerate_partitions(total):
+                assert p.total == total
+                assert p.parts not in seen
+                seen.add(p.parts)
+                if prev is not None:
+                    assert p.parts < prev  # tuple order = lexicographic
+                prev = p.parts
+
+    def test_caps_small_golden(self):
+        assert [p.parts for p in enumerate_partitions(5, (3, 2, 1))] == [
+            (3, 2),
+            (3, 1, 1),
+            (2, 2, 1),
+        ]
+        assert [p.parts for p in enumerate_partitions(5, (9, 9, 0))] == [
+            (5,),
+            (4, 1),
+            (3, 2),
+        ]
+        assert list(enumerate_partitions(7, (3, 2, 1))) == []
+        assert list(enumerate_partitions(1, ())) == []
+
+    def test_caps_must_be_non_increasing(self):
+        with pytest.raises(ValueError):
+            list(enumerate_partitions(4, (1, 2)))
+        with pytest.raises(ValueError):
+            list(enumerate_partitions(4, (3, -1)))
+
+    def test_caps_match_filtered_listing(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(
+            st.integers(1, 25),
+            st.lists(st.integers(0, 30), max_size=30).map(lambda c: sorted(c, reverse=True)),
+        )
+        def check(total, caps):
+            want = [
+                p.parts
+                for p in enumerate_partitions(total)
+                if len(p) <= len(caps) and all(k <= c for k, c in zip(p.parts, caps))
+            ]
+            assert [p.parts for p in enumerate_partitions(total, caps)] == want
+
+        check()
 
 
 class TestMinimality:
