@@ -1,8 +1,11 @@
 """Sieve-backed prime counting and numeric spot-checks of the analytic bounds.
 
-One prime sieve, a numpy array sieve cached by get_sieve, backs pi,
-pi(x; q, a) and theta(x; q, a); the test suite checks it against an
-independent segmented sieve.  All logarithms are natural.
+One prime sieve, primes_upto, backs pi, pi(x; q, a) and theta(x; q, a)
+through get_sieve, which caches its read-only result.  It is a numpy
+sieve of Eratosthenes over odd numbers only, with the multiples of 3..13
+struck by a tiled wheel pattern and the other base primes struck one
+cache-sized segment at a time; the test suite checks it against an
+independent pure-Python segmented sieve.  All logarithms are natural.
 Log-weighted sums are accumulated with math.fsum (Shewchuk compensated
 summation); a bound only counts as passed when its margin exceeds 1e-9,
 otherwise it is flagged ambiguous.
@@ -25,27 +28,65 @@ MARGIN_EPS = 1e-9
 
 @dataclass(frozen=True)
 class SievedPrimes:
-    """All primes up to limit, ascending, duplicate-free."""
+    """All primes up to limit, ascending, duplicate-free, in a read-only array."""
 
     limit: int
     primes: np.ndarray
 
+    def __post_init__(self) -> None:
+        self.primes.flags.writeable = False
+
+
+# Flag i of the sieve stands for the odd number 2i + 1.  The odd multiples of
+# the wheel primes recur with period 3*5*7*11*13 = 15015 flags, so they are
+# struck once, in a pattern the sieve tiles.
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL = np.logical_and.reduce(
+    [np.arange(math.prod(_WHEEL_PRIMES)) % p != p // 2 for p in _WHEEL_PRIMES]
+)
+# 2^20 one-byte flags: a segment stays in a core's 2 MB L2 cache while every
+# base prime strikes it
+_SEGMENT = 1 << 20
+
 
 def primes_upto(limit: int) -> np.ndarray:
-    """Classic Eratosthenes sieve on a boolean array."""
+    """All primes <= limit as an ascending int64 array.
+
+    Segmented sieve of Eratosthenes over odd numbers only, one byte per odd
+    number, with the multiples of 3..13 pre-struck by the wheel pattern.
+    """
     if limit < 2:
         return np.array([], dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
+    flags = np.resize(_WHEEL, (limit + 1) // 2)
+    for p in _WHEEL_PRIMES:
+        if p <= limit:
+            flags[p // 2] = True
+    # base primes 17..isqrt(limit), sieved in place from the head of the flags;
+    # a composite left among them would strike nothing new, only waste strides
+    root = isqrt(limit)
+    head = flags[: (root + 1) // 2]
+    for i in range(8, isqrt(root) // 2 + 1):
+        if head[i]:
+            head[2 * i * (i + 1) :: 2 * i + 1] = False  # from p^2, p = 2i + 1
+    base = 2 * np.flatnonzero(head[8:]) + 17
+    first = base * base // 2  # flag of p^2
+    residue = base // 2  # flag i holds an odd multiple of p iff i = p // 2 (mod p)
+    for lo in range(0, len(flags), _SEGMENT):
+        seg = flags[lo : lo + _SEGMENT]
+        k = int(np.searchsorted(first, lo + len(seg)))
+        starts = np.maximum(first[:k], lo + (residue[:k] - lo) % base[:k]) - lo
+        for p, s in zip(base[:k].tolist(), starts.tolist()):
+            seg[s::p] = False
+    primes = np.flatnonzero(flags)
+    primes *= 2
+    primes += 1
+    primes[0] = 2  # flag 0 stands for 1, which is not prime; 2 takes its place
+    return primes
 
 
 @lru_cache(maxsize=4)
 def get_sieve(limit: int = DEFAULT_SIEVE_LIMIT) -> SievedPrimes:
-    """Cached classic sieve used as the default backend for the counters."""
+    """Cached sieve used as the default backend for the counters; its array is read-only."""
     return SievedPrimes(limit, primes_upto(limit))
 
 

@@ -123,7 +123,9 @@ def _cmd_chain(args) -> RunReport:
         "order_bound_needed": res["bound_needed"],
         "bound_sufficient": res["bound_sufficient"],
     }
-    return RunReport("chain", params, res["gap"] is None, payload)
+    # a gap-free chain proves nothing unless its order bound is enough
+    passed = res["gap"] is None and res["bound_sufficient"]
+    return RunReport("chain", params, passed, payload)
 
 
 def _cmd_partitions(args) -> RunReport:

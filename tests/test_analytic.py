@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from fermatprod.analytic import (
@@ -22,6 +23,15 @@ from oracles import segmented_primes
 
 LIMIT = 10**6
 SIEVE = get_sieve(LIMIT)
+
+
+def assert_matches_oracle(limit, oracle=None):
+    """primes_upto(limit) equals the oracle: segmented_primes(limit), or a longer run of it."""
+    want = segmented_primes(limit) if oracle is None else oracle[oracle <= limit]
+    got = primes_upto(limit)
+    assert got.dtype == np.int64, limit
+    assert (np.diff(got) > 0).all(), limit  # strictly ascending, so duplicate-free
+    assert np.array_equal(got, want), limit
 
 
 class TestSieves:
@@ -47,6 +57,45 @@ class TestSieves:
     def test_segment_size_does_not_matter(self):
         for seg in (64, 1000, 1 << 14):
             assert (segmented_primes(10**5, seg) == primes_upto(10**5)).all()
+
+    def test_every_small_limit(self):
+        for limit in range(2001):
+            assert_matches_oracle(limit)
+
+    def test_limits_around_base_prime_squares(self):
+        # 997 is the largest base prime of a 10^6 sieve
+        for p in (13, 17, 19, 997):
+            for limit in (p * p - 1, p * p, p * p + 1):
+                assert_matches_oracle(limit)
+
+    def test_limits_where_the_wheel_wraps(self):
+        # the 15015-flag wheel pattern spans the odd numbers below 30030
+        for limit in range(30028, 30033):
+            assert_matches_oracle(limit)
+
+    def test_limits_at_segment_boundaries(self):
+        # a segment of 2^20 flags spans 2^21 integers
+        for edge in (1 << 21, 1 << 22):
+            oracle = segmented_primes(edge + 2)
+            for limit in range(edge - 2, edge + 3):
+                assert_matches_oracle(limit, oracle)
+
+    def test_random_limits(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=15, deadline=None)
+        @hypothesis.given(st.integers(0, 3 * 10**6))
+        def check(limit):
+            assert_matches_oracle(limit)
+
+        check()
+
+    def test_cached_sieve_is_read_only(self):
+        primes = get_sieve(LIMIT).primes
+        with pytest.raises(ValueError):
+            primes[0] = 3
+        assert primes[0] == 2
 
     def test_pi_values(self):
         assert pi(10, SIEVE) == 4

@@ -56,7 +56,9 @@ class TestChain:
 
     def test_quadratic_discovery(self, capsys):
         code, out = run(capsys, "chain", "1", "--max-links", "3", "--json")
+        assert code == 1
         doc = json.loads(out)
+        assert doc["pass"] is False
         links = doc["payload"]["links"]
         assert links[0] == {"anchor": 2, "p": 5, "next_roots": [3, 7], "cover_hi": 6}
         assert doc["payload"]["bound_sufficient"] is False

@@ -27,9 +27,3 @@ def test_orders_dump_alpha_digest(capsys, key):
 @pytest.mark.parametrize("command", sorted(CLI_GOLDEN["sha256"]))
 def test_cli_json_digest(capsys, command):
     assert stdout_digest(capsys, command.split()) == CLI_GOLDEN["sha256"][command]
-
-
-@pytest.mark.long
-@pytest.mark.parametrize("command", sorted(CLI_GOLDEN["long"]))
-def test_cli_json_digest_long(capsys, command):
-    assert stdout_digest(capsys, command.split()) == CLI_GOLDEN["long"][command]
