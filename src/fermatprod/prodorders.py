@@ -1,15 +1,19 @@
 """Exact p-adic valuations of P(m, n) = prod_{x <= m} (x^(2^n) + 1).
 
 alpha_p comes from root counting in residue classes (never from scanning
-values).  The complete valuation table factors every x^(2^n)+1 on one
-strip-and-split path: 2 and every split prime p <= B are divided out
-through their root classes mod p, B = max(m, min(isqrt(m^(2^n)+1), 1024 m,
-2^20)), and the residual is split.  Each residual prime is certified in one
-of three ways: by size, when it lies below (B+1)^2 (it has no prime factor
-<= B); otherwise by ntcore.is_probable_prime, deterministic Miller-Rabin
-below 2^64 and Baillie-PSW above.  For p <= m the strip's exponent sum is
-checked against alpha_p.  Chain links certify that a single anchored prime
-keeps some order at most 2^n across a verified interval of m.
+values).  Valuation tables, min_order and min_order_scan read one
+incremental factorization engine per level n, which holds the prime
+factorization of x^(2^n)+1 for every x <= m_done.  A query past m_done
+factors only the new x, on one strip-and-split path: 2 and every split
+prime p <= B are divided out through their root classes mod p,
+B = max(m, min(isqrt(m^(2^n)+1), 1024 m, 2^20)), and the residual is split.
+Each residual prime is certified in one of three ways: by size, when it
+lies below (B+1)^2 (it has no prime factor <= B); otherwise by
+ntcore.is_probable_prime, deterministic Miller-Rabin below 2^64 and
+Baillie-PSW above.  A query at or below m_done aggregates the stored
+prefix.  Every query checks its exponent sum for each split p <= m against
+alpha_p.  Chain links certify that a single anchored prime keeps some order
+at most 2^n across a verified interval of m.
 """
 
 from __future__ import annotations
@@ -119,7 +123,9 @@ def _rho_brent(v: int, k: int) -> int:
     k = 2 is Pollard's polynomial.  The odd prime factors of x^(2^n)+1 are
     all 1 mod 2^(n+1), and for them k = 2^(n+1) shortens the cycles (Brent
     and Pollard, "Factorization of the eighth Fermat number", Math. Comp.
-    1981).  The constant c sweeps 1, 2, ... until v splits.
+    1981).  The constant c sweeps 1, 2, ... until v splits.  Iterates are
+    not reduced after "+ c" and differences keep their sign: either changes
+    a value only by a multiple of v or in sign, which no gcd with v sees.
     """
     if v % 2 == 0:
         return 2
@@ -130,21 +136,21 @@ def _rho_brent(v: int, k: int) -> int:
         while g == 1:
             x = y
             for _ in range(r):
-                y = (pow(y, k, v) + c) % v
+                y = pow(y, k, v) + c
             j = 0
             while j < r and g == 1:
                 ys = y
                 for _ in range(min(m_, r - j)):
-                    y = (pow(y, k, v) + c) % v
-                    q = q * abs(x - y) % v
+                    y = pow(y, k, v) + c
+                    q = q * (x - y) % v
                 g = gcd(q, v)
                 j += m_
             r <<= 1
         if g == v:
             g = 1
             while g == 1:
-                ys = (pow(ys, k, v) + c) % v
-                g = gcd(abs(x - ys), v)
+                ys = pow(ys, k, v) + c
+                g = gcd(x - ys, v)
         if g != v:
             return g
         c += 1
@@ -295,23 +301,48 @@ def _root_table(n: int, limit: int) -> _RootTable:
         return table
 
 
-# --- strip and split -----------------------------------------------------------
+# --- incremental factorization engine -------------------------------------------
+#
+# One engine per level n holds the complete factorization of x^(2^n)+1 for
+# every x <= m_done, and every table, min_order and scan at level n reads it.
+# A query past m_done strips and splits only the new values; a query at or
+# below m_done aggregates the stored prefix.
 
 
-def _strip_and_split(
-    m: int, n: int, factors: list[list[int]] | None = None
-) -> dict[int, int]:
-    """Exponent sums p -> ord_p(P(m, n)) over the factorizations of x^(2^n)+1.
+class _Factorizations(NamedTuple):
+    """The primes of x^(2^n)+1 for x = 1..m_done, with multiplicity, ordered by x.
+
+    The primes of x^(2^n)+1 are primes[offsets[x-1]:offsets[x]].  primes is
+    int64 while every stored prime is below 2^63, and holds Python ints
+    (dtype object) from then on.
+    """
+
+    m_done: int
+    primes: np.ndarray
+    offsets: np.ndarray
+
+
+_NO_FACTORIZATIONS = _Factorizations(0, np.zeros(0, np.int64), np.zeros(1, np.int64))
+_INT64_LIMIT = 1 << 63
+_engines: dict[int, _Factorizations] = {}
+_engine_locks: dict[int, threading.Lock] = {}
+
+
+def reset_engines() -> None:
+    """Empty every level's engine and release its memory; later queries start cold."""
+    _engines.clear()
+
+
+def _strip_and_split(n: int, lo: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Factor x^(2^n)+1 for lo <= x <= m: (primes ordered by x, count per x).
 
     Every odd prime factor of x^(2^n)+1 is 1 mod 2^(n+1).  Once 2 and every
-    such prime p <= B (met through its root classes mod p) are divided out,
-    a residual has no prime factor <= B, so one below (B+1)^2 is prime with
-    no test.  Larger residuals are tested by is_probable_prime and the
-    composites split by rho on y -> y^(2^(n+1)) + c.  Every residual prime
-    must exceed B and be 1 mod 2^(n+1), and for every split p <= m the
-    strip's exponent sum must equal alpha_p; anything else raises
-    ArithmeticError.  If factors is given (m+1 empty lists), factors[x]
-    also receives the primes of x^(2^n)+1 with multiplicity.
+    such prime p <= B (met through its root classes mod p, each division
+    exact) are divided out, a residual has no prime factor <= B, so one
+    below (B+1)^2 is prime with no test.  Larger residuals are tested by
+    is_probable_prime and the composites split by rho on y -> y^(2^(n+1)) + c.
+    Every residual prime must exceed B and be 1 mod 2^(n+1); anything else
+    raises ArithmeticError.
     """
     e = 1 << n
     step = e << 1
@@ -322,33 +353,28 @@ def _strip_and_split(
     proven = (bound + 1) ** 2
     table = _root_table(n, bound)
     rows = int(np.searchsorted(table.primes, bound, side="right"))
-    roots = table.roots[:rows]
-    primes = np.broadcast_to(table.primes[:rows, None], roots.shape)
-    in_range = roots <= m
-    vals = [x**e + 1 for x in range(m + 1)]
-    for x in range(1, m + 1, 2):
-        vals[x] >>= 1
-        if factors is not None:
-            factors[x].append(2)
-    alpha = {2: alpha_two(m, n)}
-    for r, p in zip(roots[in_range].tolist(), primes[in_range].tolist()):
-        a = 0
+    roots = table.roots[:rows].astype(np.int64)
+    primes = np.broadcast_to(table.primes[:rows, None].astype(np.int64), roots.shape)
+    first = roots + (lo - roots + primes - 1) // primes * primes  # least x >= lo per class
+    live = first <= m
+    first, primes = first[live], primes[live]
+    vals = [(x**e + 1) >> (x & 1) for x in range(lo, m + 1)]
+    # the root classes give one power of p at each x they meet; the further
+    # powers and the residual primes go here
+    more_x: list[int] = []
+    more_p: list[int] = []
+    for r, p in zip(first.tolist(), primes.tolist()):
         for x in range(r, m + 1, p):
-            v = vals[x]
+            v = vals[x - lo]
             if v % p:
                 raise ArithmeticError(f"{p} does not divide {x}^(2^{n})+1")
             v //= p
-            k = 1
             while v % p == 0:
                 v //= p
-                k += 1
-            vals[x] = v
-            a += k
-            if factors is not None:
-                factors[x] += [p] * k
-        alpha[p] = alpha.get(p, 0) + a
-    for x in range(1, m + 1):
-        v = vals[x]
+                more_x.append(x)
+                more_p.append(p)
+            vals[x - lo] = v
+    for x, v in enumerate(vals, lo):
         if v == 1:
             continue
         if v < proven:
@@ -359,19 +385,67 @@ def _strip_and_split(
         for q, a in found.items():
             if q <= bound or (q - 1) % step:
                 raise ArithmeticError(f"cofactor splitter produced inadmissible prime {q}")
-            alpha[q] = alpha.get(q, 0) + a
-            if factors is not None:
-                factors[x] += [q] * a
-    for p in table.primes[: int(np.searchsorted(table.primes, m, side="right"))].tolist():
+            more_x += [x] * a
+            more_p += [q] * a
+    twos = np.arange(lo | 1, m + 1, 2)
+    hits = (m - first) // primes + 1  # members of each root class in [lo, m]
+    rank = np.arange(int(hits.sum())) - np.repeat(np.cumsum(hits) - hits, hits)
+    class_x = np.repeat(first, hits) + np.repeat(primes, hits) * rank
+    dtype = object if max(more_p, default=0) >= _INT64_LIMIT else np.int64
+    xs = np.concatenate((twos, class_x, np.array(more_x, dtype=np.int64)))
+    ps = np.concatenate(
+        (np.full(len(twos), 2, dtype), np.repeat(primes, hits), np.array(more_p, dtype))
+    )
+    return ps[np.argsort(xs, kind="stable")], np.bincount(xs - lo, minlength=m - lo + 1)
+
+
+def _factorizations(n: int, m: int) -> _Factorizations:
+    """The level-n engine's state, first extended to m if it stops short of m.
+
+    An extension strips exactly the x in (m_done, m] and is published as a
+    new snapshot under the level's lock; a snapshot is never mutated, so
+    readers take no lock.
+    """
+    state = _engines.get(n)
+    if state is not None and state.m_done >= m:
+        return state
+    with _engine_locks.setdefault(n, threading.Lock()):
+        state = _engines.get(n, _NO_FACTORIZATIONS)
+        if state.m_done >= m:
+            return state
+        primes, counts = _strip_and_split(n, state.m_done + 1, m)
+        old = state.primes
+        if old.dtype != primes.dtype:
+            old, primes = old.astype(object), primes.astype(object)
+        primes = np.concatenate((old, primes))
+        offsets = np.concatenate((state.offsets, state.offsets[-1] + np.cumsum(counts)))
+        primes.flags.writeable = False
+        offsets.flags.writeable = False
+        state = _Factorizations(m, primes, offsets)
+        _engines[n] = state
+        return state
+
+
+def _valuations(m: int, n: int) -> tuple[_Factorizations, dict[int, int]]:
+    """The engine state covering m, and p -> ord_p(P(m, n)) from it, ascending in p.
+
+    For every split prime p <= m the count must equal alpha_p from root
+    counting; a disagreement raises ArithmeticError.
+    """
+    state = _factorizations(n, m)
+    primes, counts = np.unique(state.primes[: state.offsets[m]], return_counts=True)
+    alpha = dict(zip(primes.tolist(), counts.tolist()))
+    split = _root_table(n, m).primes
+    for p in split[: int(np.searchsorted(split, m, side="right"))].tolist():
         if alpha.get(p, 0) != alpha_p(m, n, p):
             raise ArithmeticError(f"strip and root counting disagree at p={p}")
-    return alpha
+    return state, alpha
 
 
 def build_valuation_table(m: int, n: int) -> ValuationTable:
     """Complete exact valuation table of P(m, n) for m up to 100000.
 
-    Built by _strip_and_split: residual primes are certified by the size
+    Read from the level-n engine: residual primes are certified by the size
     bound below (B+1)^2, by deterministic 64-bit Miller-Rabin, or by BPSW
     above 2^64, and every split prime p <= m is checked against alpha_p.
     """
@@ -379,7 +453,7 @@ def build_valuation_table(m: int, n: int) -> ValuationTable:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     if m > TABLE_CAP:
         raise InfeasibleSizeError(f"table building supported for m <= {TABLE_CAP}, got {m}")
-    return ValuationTable(m, n, _strip_and_split(m, n))
+    return ValuationTable(m, n, _valuations(m, n)[1])
 
 
 def min_order(m: int, n: int) -> tuple[int, int]:
@@ -399,9 +473,9 @@ def is_qth_power_obstructed(table: ValuationTable, q: int) -> bool:
 def min_order_scan(m_max: int, n: int) -> Iterator[tuple[int, int, int]]:
     """Yield (m, p, ord) of the minimal-order prime for every m = 1..m_max.
 
-    Valuations accumulate one value at a time from the factorizations that
-    _strip_and_split(m_max, n) records; equivalent to min_order(m, n) at
-    every m, amortized across the range.
+    Valuations accumulate one value at a time from the level-n engine's
+    factorizations; equivalent to min_order(m, n) at every m, amortized
+    across the range.
     """
     if m_max < 1 or n < 1:
         raise ValueError(f"need m_max >= 1 and n >= 1, got m_max={m_max}, n={n}")
@@ -411,10 +485,11 @@ def min_order_scan(m_max: int, n: int) -> Iterator[tuple[int, int, int]]:
     counts: dict[int, int] = {}
     heaps: dict[int, list[int]] = {}
 
-    factors: list[list[int]] = [[] for _ in range(m_max + 1)]
-    _strip_and_split(m_max, n, factors)
+    state, _ = _valuations(m_max, n)
+    offsets = state.offsets[: m_max + 1].tolist()
+    primes = state.primes[: offsets[-1]].tolist()
     for x in range(1, m_max + 1):
-        for p in factors[x]:
+        for p in primes[offsets[x - 1] : offsets[x]]:
             old = alpha.get(p, 0)
             alpha[p] = old + 1
             if old:

@@ -1,5 +1,7 @@
 import pytest
 
+from fermatprod import prodorders
+
 
 def pytest_addoption(parser):
     parser.addoption(
@@ -21,3 +23,14 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "long" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture
+def cold_engines():
+    """Empty the valuation engines (and nothing else) before and after the test.
+
+    Yields the reset function, for a test that must start cold again midway.
+    """
+    prodorders.reset_engines()
+    yield prodorders.reset_engines
+    prodorders.reset_engines()

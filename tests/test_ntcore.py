@@ -1,5 +1,7 @@
 """ntcore: primality, root finding, Hensel lifting, interval counting."""
 
+import functools
+
 import pytest
 
 from fermatprod.errors import NotARootError, NotSplittingError
@@ -233,3 +235,51 @@ class TestCountRoots:
                 assert len(found) == 1 << n, (p, j)
                 assert lifted_roots(n, p, j).roots == found, (p, j)
                 j += 1
+
+
+class TestPropertiesAgainstBruteForce:
+    """Hypothesis draws (n, p, j) with p^j <= 30000 and checks the kernels by scanning."""
+
+    @staticmethod
+    @functools.cache
+    def split_primes(n):
+        step = 1 << (n + 1)
+        return [p for p in range(step + 1, 30_000, step) if is_prime(p)]
+
+    @classmethod
+    def modulus(cls, data, st):
+        n = data.draw(st.integers(1, 3), label="n")
+        split = cls.split_primes(n)
+        top = 1
+        while split[0] ** (top + 1) <= 30_000:
+            top += 1
+        j = data.draw(st.integers(1, top), label="j")
+        p = data.draw(st.sampled_from([p for p in split if p**j <= 30_000]), label="p")
+        return n, p, j
+
+    def test_hensel_lift(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            n, p, j = self.modulus(data, st)
+            r = data.draw(st.sampled_from(roots_of_minus_one(n, p).roots), label="r")
+            want = [x for x in brute_roots(n, p**j) if x % p == r]
+            assert [hensel_lift(n, p, r, j)] == want
+
+        check()
+
+    def test_count_roots_upto(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            n, p, j = self.modulus(data, st)
+            m = data.draw(st.integers(0, 4000), label="m")
+            assert count_roots_upto(n, p, j, m) == brute_count(n, p, j, m)
+
+        check()

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -205,9 +207,10 @@ class TestStripAndSplit:
             assert build_valuation_table(m, n).alpha == dict(want), (m, n)
 
     @pytest.mark.parametrize("m,n", [(3000, 1), (1024, 2)])
-    def test_small_bound_needs_no_primality_or_rho(self, monkeypatch, m, n):
+    def test_small_bound_needs_no_primality_or_rho(self, monkeypatch, cold_engines, m, n):
         # below (B+1)^2 every residual is prime by size: n=1 always, n=2 for m <= 1024
         want = build_valuation_table(m, n)
+        cold_engines()  # the patched call below must strip again
 
         def refuse(*args):
             raise AssertionError("primality test or rho called")
@@ -216,13 +219,13 @@ class TestStripAndSplit:
         monkeypatch.setattr(prodorders, "_rho_brent", refuse)
         assert build_valuation_table(m, n) == want
 
-    def test_root_count_mismatch_raises(self, monkeypatch):
+    def test_root_count_mismatch_raises(self, monkeypatch, cold_engines):
         real = prodorders.alpha_p
         monkeypatch.setattr(prodorders, "alpha_p", lambda m, n, p: real(m, n, p) + (p == 17))
         with pytest.raises(ArithmeticError):
             build_valuation_table(100, 2)
 
-    def test_missing_root_row_raises(self, monkeypatch):
+    def test_missing_root_row_raises(self, monkeypatch, cold_engines):
         # a split prime p <= B left out of the strip reaches the residuals,
         # where it fails the inadmissible-prime check
         real = prodorders._root_table(2, 1 << 12)
@@ -236,6 +239,104 @@ class TestStripAndSplit:
         for v, k in ((1000009 * 1000033, 8), ((2**61 - 1) * 1000003, 16), (65537 * 274177, 4)):
             d = prodorders._rho_brent(v, k)
             assert 1 < d < v and v % d == 0
+
+
+class TestEngine:
+    @staticmethod
+    def run(kind, m, n):
+        if kind == "table":
+            return list(build_valuation_table(m, n).alpha.items())
+        if kind == "min_order":
+            return min_order(m, n)
+        return list(min_order_scan(m, n))
+
+    def test_any_query_order_matches_cold_engines(self, cold_engines):
+        rng = random.Random("engine-order")
+        kinds = ("table", "min_order", "scan")
+        per_level = []
+        for n, top in ((1, 3000), (2, 1200), (3, 150)):
+            ms = rng.sample(range(1, top + 1), 5)
+            at = rng.randrange(len(ms))
+            ms.insert(at + 1, max(ms[: at + 1]))  # lands exactly on m_done
+            per_level.append([(rng.choice(kinds), m, n) for m in ms])
+        queries = []
+        while any(per_level):
+            queries.append(rng.choice([q for q in per_level if q]).pop(0))
+        want = {}
+        for q in queries:
+            cold_engines()
+            want[q] = self.run(*q)
+        cold_engines()
+        seen = set()
+        for kind, m, n in queries:
+            state = prodorders._engines.get(n)
+            m_done = state.m_done if state is not None else 0
+            seen.add((n, (m > m_done) - (m < m_done)))
+            assert self.run(kind, m, n) == want[kind, m, n], (kind, m, n, m_done)
+        assert seen == {(n, r) for n in (1, 2, 3) for r in (-1, 0, 1)}
+
+    def test_scan_matches_sympy_factorint_n3(self):
+        sympy = pytest.importorskip("sympy")
+        acc: Counter = Counter()
+        want = []
+        for x in range(1, 121):
+            acc.update(sympy.factorint(x**8 + 1))
+            p, o = min(acc.items(), key=lambda kv: (kv[1], kv[0]))
+            want.append((x, p, o))
+        assert list(min_order_scan(120, 3)) == want
+
+    def test_concurrent_queries_match_fresh_builds(self, monkeypatch, cold_engines):
+        n, small, large = 2, 700, 1500
+        want = {}
+        for m in (small, large):
+            cold_engines()
+            want[m] = build_valuation_table(m, n)
+        strip = prodorders._strip_and_split
+        stripped = []
+        stripping = threading.Event()
+
+        def recorded(n_, lo, m):
+            stripped.append((lo, m))
+            stripping.set()
+            return strip(n_, lo, m)
+
+        monkeypatch.setattr(prodorders, "_strip_and_split", recorded)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for order in ((small, large), (large, small)):
+                cold_engines()
+                stripped.clear()
+                stripping.clear()
+                got = []
+                # four threads on two cores; the first is mid-strip when the rest arrive
+                threads = [
+                    threading.Thread(target=lambda m=m: got.append(build_valuation_table(m, n)))
+                    for m in order * 2
+                ]
+                threads[0].start()
+                assert stripping.wait(timeout=60)
+                for t in threads[1:]:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+                assert sorted(got, key=lambda t: t.m) == [want[small]] * 2 + [want[large]] * 2
+                assert prodorders._engines[n].m_done == large
+                # each x stripped once: the ranges tile 1..large
+                stripped.sort()
+                assert [lo for lo, _ in stripped] == [1] + [m + 1 for _, m in stripped[:-1]]
+                assert stripped[-1][1] == large
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_state_is_read_only(self):
+        build_valuation_table(40, 1)
+        state = prodorders._engines[1]
+        with pytest.raises(ValueError):
+            state.primes[0] = 3
+        with pytest.raises(ValueError):
+            state.offsets[0] = 1
 
 
 class TestCofactorMachinery:
