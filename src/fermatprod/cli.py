@@ -1,8 +1,10 @@
 """Command-line front end: every verification as a subcommand.
 
-Exit codes: 0 all executed checks passed, 1 a check failed, 2 usage error or
-infeasible size.  --json emits one canonical JSON object (sorted keys,
-wall_time_s nulled) so identical invocations are byte-identical.
+Exit codes: 0 all executed checks passed, 1 a check failed or a kernel
+refused a value it cannot answer exactly (an internal refusal, reported on
+stderr), 2 usage error or infeasible size.  --json emits one canonical JSON
+object (sorted keys, wall_time_s nulled) so identical invocations are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .errors import (
     CertificateError,
     ChainBreakError,
     InfeasibleSizeError,
+    InternalRefusalError,
 )
 
 SCHEMA = "fermatprod.report/1"
@@ -379,6 +382,9 @@ def main(argv=None) -> int:
     except InfeasibleSizeError as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return 2
+    except InternalRefusalError as err:
+        print(f"internal refusal: {err}", file=sys.stderr)
+        return 1
     except (BeyondSieveError, ValueError) as err:
         print(f"usage: {err}", file=sys.stderr)
         return 2

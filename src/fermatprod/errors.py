@@ -17,6 +17,15 @@ class InfeasibleSizeError(FermatprodError):
     """The requested computation exceeds the supported desk-scale cap."""
 
 
+class InternalRefusalError(FermatprodError, ValueError):
+    """A kernel refuses a value past the range it answers exactly.
+
+    The value comes from the package's own computation, not from the user,
+    so this is not a usage error.  It stays a ValueError for callers that
+    catch one.
+    """
+
+
 class LevelMismatchError(FermatprodError):
     """Cyclotomic operands live in different ambient fields."""
 

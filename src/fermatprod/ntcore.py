@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .errors import NotARootError, NotSplittingError
+from .errors import InternalRefusalError, NotARootError, NotSplittingError
 
 # Strong-pseudoprime witness set covering every composite below 2^64
 # (Sinclair's seven bases, checked against the Feitsma-Galway SPRP tables).
@@ -68,12 +68,12 @@ def _strong_probable_prime(v: int, bases: tuple[int, ...]) -> bool:
 def is_prime(v: int) -> bool:
     """Deterministic primality for 0 <= v < 2^64.
 
-    Inputs at or above 2^64 are refused with ValueError rather than answered
-    probabilistically; is_probable_prime covers them where a probable prime
-    will do.
+    Inputs at or above 2^64 are refused with InternalRefusalError rather
+    than answered probabilistically; is_probable_prime covers them where a
+    probable prime will do.
     """
     if v >= PRIMALITY_LIMIT:
-        raise ValueError(f"is_prime is deterministic only below 2^64, got {v}")
+        raise InternalRefusalError(f"is_prime is deterministic only below 2^64, got {v}")
     if v < 2:
         return False
     for p in _SMALL_PRIMES:

@@ -33,6 +33,7 @@ from .errors import (
     AnchorParityError,
     ChainBreakError,
     InfeasibleSizeError,
+    InternalRefusalError,
 )
 from .ntcore import (
     PRIMALITY_LIMIT,
@@ -274,7 +275,7 @@ def _root_table(n: int, limit: int) -> _RootTable:
     the rows of the new primes.
     """
     if limit > ROOT_TABLE_CAP:
-        raise ValueError(f"root tables reach {ROOT_TABLE_CAP}, got {limit}")
+        raise InternalRefusalError(f"root tables reach {ROOT_TABLE_CAP}, got {limit}")
     table = _root_tables.get(n)
     if table is not None and table.limit >= limit:
         return table

@@ -1,5 +1,6 @@
 """Brute-force oracles the package no longer runs, kept to check its closed forms."""
 
+import math
 from functools import lru_cache
 from math import isqrt
 
@@ -44,6 +45,30 @@ def segmented_primes(limit: int, segment_size: int = SEGMENT_SIZE) -> np.ndarray
         out.extend(low + 2 * i for i in range(count) if mask[i])
         low = high
     return np.array(out, dtype=np.int64)
+
+
+def _prefix(primes: np.ndarray, x: int) -> np.ndarray:
+    return primes[: np.searchsorted(primes, x, side="right")]
+
+
+def pi_ap_by_reduction(x: int, q: int, a: int, primes: np.ndarray) -> int:
+    """pi(x; q, a) by reducing every prime <= x modulo q."""
+    ps = _prefix(primes, x)
+    return int(np.count_nonzero(ps % q == a % q))
+
+
+def theta_ap_by_fsum(x: int, q: int, a: int, primes: np.ndarray) -> float:
+    """theta(x; q, a) by reducing every prime <= x and math.fsum of the logs."""
+    ps = _prefix(primes, x)
+    sel = ps[ps % q == a % q]
+    return math.fsum(np.log(sel.astype(np.float64)).tolist())
+
+
+def logsum_by_fsum(a: int, x: int, primes: np.ndarray) -> float:
+    """Sum of ln p / p over primes p <= x, p = a (mod 8), by math.fsum."""
+    ps = _prefix(primes, x)
+    sel = ps[ps % 8 == a].astype(np.float64)
+    return math.fsum((np.log(sel) / sel).tolist())
 
 
 def _satisfies_by_blocks(parts, thresholds) -> bool:

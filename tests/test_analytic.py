@@ -1,15 +1,21 @@
 """analytic: sieves, progression counters, bound spot-checks, final inequality."""
 
 import math
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from fermatprod import analytic
 from fermatprod.analytic import (
+    SievedPrimes,
     check_bt_bound,
     check_logsum_bound,
     check_pi_bound,
     check_theta_window,
+    exact_sum,
     final_inequality_crossing,
     final_inequality_margin,
     get_sieve,
@@ -19,10 +25,14 @@ from fermatprod.analytic import (
     theta_ap,
 )
 from fermatprod.errors import BeyondSieveError
-from oracles import segmented_primes
+from oracles import logsum_by_fsum, pi_ap_by_reduction, segmented_primes, theta_ap_by_fsum
 
 LIMIT = 10**6
 SIEVE = get_sieve(LIMIT)
+# a sieve limit of the benchmark ladder between 10^7 and 10^8
+LADDER_LIMIT = 21_544_347
+# 300 is a modulus whose residues do not fit in one byte
+MODULI = (3, 4, 5, 8, 12, 16, 100, 300)
 
 
 def assert_matches_oracle(limit, oracle=None):
@@ -126,6 +136,175 @@ class TestProgressions:
         for a in (1, 3, 5, 7):
             want = math.fsum(math.log(p) for p in ps if p % 8 == a)
             assert abs(theta_ap(999, 8, a, SIEVE) - want) < 1e-9
+
+
+def sample_points(rng: random.Random, sieve: SievedPrimes, lo: int = 0) -> list[int]:
+    """x below 2 (when lo allows), at a prime and just past it, at the limit, and anywhere."""
+    points = [-3, 0, 1] if lo < 2 else []
+    inside = sieve.primes[np.searchsorted(sieve.primes, lo) :]
+    if len(inside):
+        p = int(inside[rng.randrange(len(inside))])
+        points += [p, min(p + 1, sieve.limit)]
+    return points + [sieve.limit, rng.randint(lo, sieve.limit)]
+
+
+class TestAgainstReduction:
+    """The residue cache and exact_sum against the per-query reduction and math.fsum, bitwise."""
+
+    @pytest.mark.parametrize("limit", [LIMIT, LADDER_LIMIT])
+    def test_progression_queries(self, limit):
+        sieve = get_sieve(limit)
+        rng = random.Random(limit)
+        for q in MODULI:
+            for x in sample_points(rng, sieve):
+                a = rng.choice([a for a in range(-q, 2 * q) if math.gcd(a, q) == 1])
+                ps = sieve.primes
+                assert pi_ap(x, q, a, sieve) == pi_ap_by_reduction(x, q, a, ps), (x, q, a)
+                assert theta_ap(x, q, a, sieve) == theta_ap_by_fsum(x, q, a, ps), (x, q, a)
+
+    @pytest.mark.parametrize("limit", [LIMIT, LADDER_LIMIT])
+    def test_logsum(self, limit):
+        sieve = get_sieve(limit)
+        rng = random.Random(limit)
+        for x in sample_points(rng, sieve, 10**6):
+            for a in (1, 3, 5, 7):
+                lhs = check_logsum_bound(a, x, sieve).records[0].lhs
+                assert lhs == logsum_by_fsum(a, x, sieve.primes), (x, a)
+
+    def test_residue_cache(self):
+        sieve = SievedPrimes(LIMIT, primes_upto(LIMIT))
+        dtypes = {1: np.uint8, 8: np.uint8, 256: np.uint8, 257: np.uint16, 300: np.uint16}
+        for q, dtype in dtypes.items():
+            res = sieve.residues(q)
+            assert res.dtype == dtype and not res.flags.writeable, q
+            assert np.array_equal(res, sieve.primes % q), q
+            assert sieve.residues(q) is res
+        with pytest.raises(ValueError):
+            sieve.residues(0)
+        with pytest.raises(ValueError):
+            pi_ap(100, -8, 1, sieve)
+
+    def test_concurrent_queries_share_one_residue_array(self):
+        x, odd = LIMIT - 1, (1, 3, 5, 7)
+        ps = SIEVE.primes
+        want = {
+            q: [(pi_ap_by_reduction(x, q, a, ps), theta_ap_by_fsum(x, q, a, ps)) for a in odd]
+            for q in (8, 16)
+        }
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for first, second in ((8, 16), (16, 8)):
+                sieve = SievedPrimes(LIMIT, ps)
+                cached = get_sieve(LIMIT)
+                barrier = threading.Barrier(4)
+                got, seen, handed = [], [], []
+
+                def query(qs):
+                    barrier.wait()
+                    for q in qs:
+                        values = [(pi_ap(x, q, a, sieve), theta_ap(x, q, a, sieve)) for a in odd]
+                        got.append((q, values))
+                        seen.append((q, sieve.residues(q)))
+                        handed.append(get_sieve(LIMIT))
+
+                # two threads start on each modulus; one of each order arrives first
+                orders = [(first, second), (second, first)] * 2
+                threads = [threading.Thread(target=query, args=(qs,)) for qs in orders]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+                assert len(got) == 8 and all(values == want[q] for q, values in got)
+                assert sorted(sieve._residues) == [8, 16]
+                for q, res in seen:
+                    assert res is sieve._residues[q] and not res.flags.writeable
+                assert all(sv is cached for sv in handed)
+                assert not cached.primes.flags.writeable
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def fsum_or_overflow(values: np.ndarray):
+    try:
+        return math.fsum(values.tolist())
+    except OverflowError:
+        return OverflowError
+
+
+def assert_sums_like_fsum(values: np.ndarray) -> None:
+    want = fsum_or_overflow(values)
+    if want is OverflowError:
+        with pytest.raises(OverflowError):
+            exact_sum(values)
+    else:
+        got = exact_sum(values)
+        assert got == want and math.copysign(1.0, got) == 1.0, (got, want)
+
+
+class TestExactSum:
+    def test_empty_and_zero(self):
+        assert exact_sum(np.array([])) == 0.0
+        assert exact_sum(np.zeros(5)) == 0.0
+
+    def test_matches_fsum(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        finite = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+        # draws whose exponents span the whole float range, subnormals included
+        mantissa = st.floats(0.5, 1.0, exclude_max=True)
+        spread = st.builds(math.ldexp, mantissa, st.integers(-1073, 1024))
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(st.lists(finite | spread, max_size=200))
+        def check(values):
+            assert_sums_like_fsum(np.array(values, dtype=np.float64))
+
+        check()
+
+    @pytest.mark.parametrize("length_from_chunk", [-1, 0, 1])
+    @pytest.mark.parametrize("chunks", [1, 3, 32])
+    def test_lengths_at_chunk_edges(self, chunks, length_from_chunk):
+        length = chunks * analytic._SUM_CHUNK + length_from_chunk
+        rng = np.random.default_rng(length)
+        # 32 chunks reach 2^20 terms; a narrower span keeps that case quick
+        span = 2000 if chunks < 32 else 200
+        values = np.ldexp(rng.random(length), rng.integers(-span // 2, span // 2, length))
+        assert_sums_like_fsum(values)
+
+    def test_log_ratio_beyond_any_sieve(self):
+        # ln f / f falls below 2^-23 past 1.5e8, so the limbs must widen with the span
+        rng = np.random.default_rng(10)
+        f = np.concatenate(
+            [
+                np.arange(1, 5000),
+                rng.integers(1, 10**10, 200_000),
+                np.arange(10**10 - 100_000, 10**10 + 1),
+            ]
+        ).astype(np.float64)
+        assert_sums_like_fsum(np.log(f) / f)
+        assert_sums_like_fsum(np.log(f[-100_000:]) / f[-100_000:])
+
+    @pytest.mark.parametrize(
+        "values, want",
+        [
+            ([1.0, 2.0**-53], 1.0),  # a tie rounds to even
+            ([1.0, 2.0**-53, 5e-324], 1.0 + 2.0**-52),  # the least subnormal breaks it
+            ([2.0**1023, 2.0**970], 2.0**1023),
+            # the largest term overflows float64 at every scale of the low limbs
+            ([2.0**1023, 2.0**970, 5e-324], 2.0**1023 + 2.0**971),
+        ],
+    )
+    def test_ties_across_the_exponent_range(self, values, want):
+        assert math.fsum(values) == want
+        assert exact_sum(np.array(values)) == want
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, -0.0, -5e-324])
+    def test_refuses_what_it_cannot_represent(self, bad):
+        with pytest.raises(ValueError):
+            exact_sum(np.array([1.0, bad, 2.0]))
 
 
 class TestBoundChecks:

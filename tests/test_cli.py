@@ -71,6 +71,14 @@ class TestChain:
         assert doc["payload"]["bound_sufficient"] is True
         assert doc["payload"]["covered_through"] >= 65540
 
+    @pytest.mark.parametrize("n", ["4", "5"])
+    def test_refused_anchor_is_not_a_usage_error(self, capsys, n):
+        # the search reaches an anchor value past is_prime's 2^64 limit
+        code = main(["chain", n, "--json"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("internal refusal:") and "usage:" not in err
+
     def test_json_byte_identical(self, capsys):
         _, first = run(capsys, "chain", "2", "--json")
         _, second = run(capsys, "chain", "2", "--json")

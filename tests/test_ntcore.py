@@ -4,7 +4,12 @@ import functools
 
 import pytest
 
-from fermatprod.errors import NotARootError, NotSplittingError
+from fermatprod.errors import (
+    FermatprodError,
+    InternalRefusalError,
+    NotARootError,
+    NotSplittingError,
+)
 from fermatprod.ntcore import (
     PRIMALITY_LIMIT,
     ROOT_CACHE_SIZE,
@@ -66,6 +71,12 @@ class TestIsPrime:
     def test_rejects_beyond_64_bits(self):
         with pytest.raises(ValueError):
             is_prime(1 << 64)
+
+    def test_refusal_is_internal_and_still_a_value_error(self):
+        assert issubclass(InternalRefusalError, FermatprodError)
+        assert issubclass(InternalRefusalError, ValueError)
+        with pytest.raises(InternalRefusalError):
+            is_prime(PRIMALITY_LIMIT)
 
     def test_anchor_values(self):
         assert is_prime(6**4 + 1)

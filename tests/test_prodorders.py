@@ -17,6 +17,7 @@ from fermatprod.errors import (
     AnchorParityError,
     ChainBreakError,
     InfeasibleSizeError,
+    InternalRefusalError,
 )
 from fermatprod.prodorders import (
     ChainLink,
@@ -194,6 +195,10 @@ class TestStripAndSplit:
         with pytest.raises(ValueError):
             table.roots[0, 0] = 0
         assert prodorders._root_table(2, 100) is prodorders._root_tables[2]
+
+    def test_root_table_past_its_cap_is_refused(self):
+        with pytest.raises(InternalRefusalError):
+            prodorders._root_table(2, prodorders.ROOT_TABLE_CAP + 1)
 
     @pytest.mark.parametrize("n,m_top", [(1, 3000), (2, 1500), (3, 200)])
     def test_table_matches_sympy_factorint(self, n, m_top):
