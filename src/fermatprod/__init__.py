@@ -20,15 +20,10 @@ from .analytic import (
 )
 from .cyclotomic import (
     CongruenceSystem,
-    CycInt,
     check_prime_bound,
     counterexample_search,
-    cyc_add,
-    cyc_mul,
     iter_realizable_systems,
-    norm,
     pigeonhole_witness,
-    primitive_roots_integrally_independent,
     single_entry_search,
 )
 from .ntcore import (
@@ -70,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CongruenceSystem",
     "ChainLink",
-    "CycInt",
     "Partition",
     "RootSet",
     "ValuationTable",
@@ -88,8 +82,6 @@ __all__ = [
     "check_theta_window",
     "count_roots_upto",
     "counterexample_search",
-    "cyc_add",
-    "cyc_mul",
     "enumerate_partitions",
     "extreme_partition",
     "final_inequality_crossing",
@@ -100,11 +92,9 @@ __all__ = [
     "iter_realizable_systems",
     "min_order",
     "min_order_scan",
-    "norm",
     "pi",
     "pi_ap",
     "pigeonhole_witness",
-    "primitive_roots_integrally_independent",
     "product_value",
     "r_bound",
     "roots_of_minus_one",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt
@@ -124,10 +125,24 @@ def primes_upto(limit: int) -> np.ndarray:
     return primes
 
 
+# every live sieve by limit, so concurrent first callers, and callers after an
+# lru eviction, share one object and its residue cache
+_sieves: weakref.WeakValueDictionary[int, SievedPrimes] = weakref.WeakValueDictionary()
+_sieves_lock = threading.Lock()
+
+
 @lru_cache(maxsize=4)
 def get_sieve(limit: int = DEFAULT_SIEVE_LIMIT) -> SievedPrimes:
-    """Cached sieve used as the default backend for the counters; its array is read-only."""
-    return SievedPrimes(limit, primes_upto(limit))
+    """Cached sieve used as the default backend for the counters; its array is read-only.
+
+    Each limit is sieved once: the build runs under a module lock, and every
+    caller gets the sieve it published.
+    """
+    with _sieves_lock:
+        sv = _sieves.get(limit)
+        if sv is None:
+            sv = _sieves[limit] = SievedPrimes(limit, primes_upto(limit))
+        return sv
 
 
 def _backend(x: int, sieve: SievedPrimes | None) -> SievedPrimes:

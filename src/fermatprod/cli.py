@@ -2,9 +2,9 @@
 
 Exit codes: 0 all executed checks passed, 1 a check failed or a kernel
 refused a value it cannot answer exactly (an internal refusal, reported on
-stderr), 2 usage error or infeasible size.  --json emits one canonical JSON
-object (sorted keys, wall_time_s nulled) so identical invocations are
-byte-identical.
+stderr and as a failed report), 2 usage error or infeasible size.  --json
+emits one canonical JSON object (sorted keys, wall_time_s nulled) so
+identical invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -384,7 +384,7 @@ def main(argv=None) -> int:
         return 2
     except InternalRefusalError as err:
         print(f"internal refusal: {err}", file=sys.stderr)
-        return 1
+        return _emit(RunReport(args.command, {}, False, {"internal_refusal": str(err)}), args.json)
     except (BeyondSieveError, ValueError) as err:
         print(f"usage: {err}", file=sys.stderr)
         return 2

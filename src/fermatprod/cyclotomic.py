@@ -1,257 +1,30 @@
-"""Exact arithmetic in Z[zeta_{2^k}] and the congruence-system prime bound.
-
-Elements are integer coefficient vectors modulo x^(2^(k-1)) + 1, so ring
-multiplication reduces with a sign flip and the norm down to Q is an integer
-resultant.  A floating product over the complex embeddings cross-checks every
-norm inside a documented magnitude window, but is never the source of truth.
+"""The congruence-system prime bound, certified by closed-form norms.
 
 The bound machinery certifies that any system
 
     x_i^(2^n) + 1 = 0  (mod p^(k_i)),   k_1 >= ... >= k_s,  x_i distinct,
 
 with k_1 + ... + k_s >= big_n(n) forces p <= 2(max x_i + 1), by exhibiting a
-nonzero element of a small cyclotomic ring whose rational norm is divisible
-by p^(k_r) yet bounded by (2(max x_i + 1))^(2^m).
+nonzero element B = x_u - x_v * w of Z[zeta_{2^(m+1)}], w a root of unity,
+whose rational norm is divisible by p^(k_r) yet bounded by
+(2(max x_i + 1))^(2^m).  The norm of such a binomial is itself a binomial in
+closed form (Washington, Introduction to Cyclotomic Fields, ch. 2), so every
+certificate is decided with exact integers alone.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import (
     CertificateError,
     HypothesisUnmetError,
     InvalidSystemError,
-    LevelMismatchError,
     TooFewRootsError,
 )
 from .ntcore import is_prime, roots_of_minus_one
 from .partitions import big_n, enumerate_partitions, r_bound
-
-# Embedding cross-check window: exact norms are compared against the complex
-# product only when the inputs are modest enough for doubles to be reliable.
-_CROSSCHECK_MAX_LEVEL = 6
-_CROSSCHECK_MAX_COEFF = 10**6
-_CROSSCHECK_REL_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class CycInt:
-    """Element of Z[zeta_{2^level}] as coefficients of 1, zeta, ..., zeta^(d-1).
-
-    d = 2^(level-1) and zeta^d = -1.  Coefficients are exact integers.
-    """
-
-    level: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.level < 1:
-            raise ValueError(f"level must be >= 1, got {self.level}")
-        d = 1 << (self.level - 1)
-        if len(self.coeffs) != d:
-            raise ValueError(
-                f"level {self.level} needs exactly {d} coefficients, got {len(self.coeffs)}"
-            )
-
-    @property
-    def degree(self) -> int:
-        return 1 << (self.level - 1)
-
-    @classmethod
-    def constant(cls, level: int, c: int) -> "CycInt":
-        d = 1 << (level - 1)
-        return cls(level, (c,) + (0,) * (d - 1))
-
-    @classmethod
-    def zeta_power(cls, level: int, e: int) -> "CycInt":
-        """zeta_{2^level}^e, reduced by zeta^d = -1."""
-        d = 1 << (level - 1)
-        e %= 1 << level
-        coeffs = [0] * d
-        if e < d:
-            coeffs[e] = 1
-        else:
-            coeffs[e - d] = -1
-        return cls(level, tuple(coeffs))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def _coerce(self, other) -> "CycInt":
-        if isinstance(other, CycInt):
-            return other
-        if isinstance(other, int):
-            return CycInt.constant(self.level, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return cyc_add(self, other)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "CycInt":
-        return CycInt(self.level, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return cyc_add(self, -other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return cyc_add(other, -self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return cyc_mul(self, other)
-
-    __rmul__ = __mul__
-
-
-def cyc_add(a: CycInt, b: CycInt) -> CycInt:
-    """Exact sum; operands must share a level."""
-    if a.level != b.level:
-        raise LevelMismatchError(f"levels differ: {a.level} vs {b.level}")
-    return CycInt(a.level, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def cyc_mul(a: CycInt, b: CycInt) -> CycInt:
-    """Exact product, reduced by zeta^d = -1 (negacyclic convolution)."""
-    if a.level != b.level:
-        raise LevelMismatchError(f"levels differ: {a.level} vs {b.level}")
-    d = a.degree
-    out = [0] * d
-    for i, ai in enumerate(a.coeffs):
-        if not ai:
-            continue
-        for j, bj in enumerate(b.coeffs):
-            if not bj:
-                continue
-            k = i + j
-            if k < d:
-                out[k] += ai * bj
-            else:
-                out[k - d] -= ai * bj
-    return CycInt(a.level, tuple(out))
-
-
-def _trim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _prem(A: list[int], B: list[int]) -> list[int]:
-    """Pseudo-remainder of A by B: lc(B)^(deg A - deg B + 1) * A reduced mod B."""
-    dA, dB = len(A) - 1, len(B) - 1
-    lB = B[-1]
-    R = list(A)
-    for i in range(dA, dB - 1, -1):
-        c = R[i]
-        for t in range(len(R)):
-            R[t] *= lB
-        if c:
-            off = i - dB
-            for t in range(dB + 1):
-                R[off + t] -= c * B[t]
-    return _trim(R[:dB])
-
-
-def _resultant(f: Sequence[int], g: Sequence[int]) -> int:
-    """Resultant of two integer polynomials via the subresultant PRS.
-
-    Fraction-free: every division below is exact over Z.  Coefficient lists
-    are little-endian.
-    """
-    A = _trim(list(f))
-    B = _trim(list(g))
-    if not A or not B:
-        return 0
-    sign = 1
-    if len(A) < len(B):
-        if ((len(A) - 1) * (len(B) - 1)) & 1:
-            sign = -sign
-        A, B = B, A
-    if len(B) == 1:
-        return sign * B[0] ** (len(A) - 1)
-    g_, h_ = 1, 1
-    while True:
-        dA, dB = len(A) - 1, len(B) - 1
-        delta = dA - dB
-        if (dA & 1) and (dB & 1):
-            sign = -sign
-        R = _prem(A, B)
-        if not R:
-            return 0
-        A = B
-        div = g_ * h_**delta
-        B = [c // div for c in R]
-        g_ = A[-1]
-        if delta:
-            h_ = g_**delta // h_ ** (delta - 1)
-        if len(B) == 1:
-            dA = len(A) - 1
-            return sign * B[0] ** dA // h_ ** (dA - 1)
-
-
-def _embedding_product(a: CycInt) -> complex:
-    """Product of a evaluated at every primitive 2^level-th root of unity."""
-    order = 1 << a.level
-    prod = complex(1.0)
-    for t in range(1, order, 2):
-        omega = cmath.exp(2j * cmath.pi * t / order)
-        val = complex(0.0)
-        power = complex(1.0)
-        for c in a.coeffs:
-            val += c * power
-            power *= omega
-        prod *= val
-    return prod
-
-
-def _crosscheck(a: CycInt, exact: int) -> None:
-    """Compare the exact norm against the embedding product inside the window."""
-    if a.level > _CROSSCHECK_MAX_LEVEL:
-        return
-    s = sum(abs(c) for c in a.coeffs)
-    if s == 0 or max(abs(c) for c in a.coeffs) > _CROSSCHECK_MAX_COEFF:
-        return
-    if a.degree * math.log10(s) > 280:
-        return  # float product would overflow; exact path is authoritative
-    approx = abs(_embedding_product(a))
-    if not math.isclose(approx, abs(exact), rel_tol=_CROSSCHECK_REL_TOL, abs_tol=1e-9):
-        raise ArithmeticError(
-            f"embedding cross-check failed: exact {exact}, embeddings {approx!r}"
-        )
-
-
-def norm(a: CycInt) -> int:
-    """Norm of a down to Q: the resultant of x^d + 1 with a's coefficient polynomial.
-
-    Exact for arbitrary coefficient sizes.  For level >= 2 the norm of a
-    nonzero element is strictly positive (embeddings pair up conjugate).
-    """
-    if a.is_zero():
-        return 0
-    d = a.degree
-    modulus = [1] + [0] * (d - 1) + [1]
-    val = _resultant(modulus, list(a.coeffs))
-    _crosscheck(a, val)
-    return val
 
 
 @dataclass(frozen=True)
@@ -350,8 +123,9 @@ class BoundCertificate:
     """Numeric witness for p <= 2(x+1).
 
     branch "norm": B = x_u - zeta_{2^(m+1)}^(t') * x_v has |N(B)| divisible by
-    p^(k_r) and bounded by 2^(2^m) (x+1)^(2^m).  branch "order": k_r >= 2^n,
-    so p^(k_r) <= x_r^(2^n)+1 directly.
+    p^(k_r) and bounded by 2^(2^m) (x+1)^(2^m); with t' = t >> (n - m), u, v
+    and m, the closed form of _binomial_norm recomputes |N(B)|.  branch
+    "order": k_r >= 2^n, so p^(k_r) <= x_r^(2^n)+1 directly.
     """
 
     branch: str
@@ -393,6 +167,24 @@ def _root_exponents(n: int, p: int, xs: Sequence[int]) -> list[int]:
         return [exp_of[(-x) % p] for x in xs]
     except KeyError as err:
         raise InvalidSystemError(f"{err.args[0]} is not a root class mod {p}") from None
+
+
+def _binomial_norm(a: int, b: int, level: int, tp: int) -> int:
+    """|N(a - b*w)| from Q(zeta_{2^level}) down to Q, w = zeta_{2^level}^tp, 0 <= tp < 2^level.
+
+    With 2^j the order of w and d = 2^(level-1): w = 1 gives |a - b|^d and
+    w = -1 gives |a + b|^d.  For j >= 2 the product of a - b*w' over the
+    conjugates w' of w, the primitive 2^j-th roots of unity, is the
+    homogenised cyclotomic polynomial a^(2^(j-1)) + b^(2^(j-1)), and the
+    full field repeats each conjugate 2^(level-j) times.
+    """
+    j = level - (tp & -tp).bit_length() + 1 if tp else 0
+    if j == 0:
+        return abs(a - b) ** (1 << (level - 1))
+    if j == 1:
+        return abs(a + b) ** (1 << (level - 1))
+    half = 1 << (j - 1)
+    return (a**half + b**half) ** (1 << (level - j))
 
 
 def check_prime_bound(sys: CongruenceSystem) -> PrimeBoundReport:
@@ -440,10 +232,7 @@ def check_prime_bound(sys: CongruenceSystem) -> PrimeBoundReport:
         wit = pigeonhole_witness(exps, m, n)
         x_u = sys.entries[wit.u - 1][0]
         x_v = sys.entries[wit.v - 1][0]
-        level = m + 1
-        tp = wit.t >> (n - m)
-        B = CycInt.constant(level, x_u) - x_v * CycInt.zeta_power(level, tp)
-        nb = abs(norm(B))
+        nb = _binomial_norm(x_u, x_v, m + 1, wit.t >> (n - m))
         limit = (1 << (1 << m)) * (x + 1) ** (1 << m)
         if nb == 0 or nb % pp or not (pp <= nb <= limit):
             raise CertificateError(
@@ -507,30 +296,21 @@ def iter_realizable_systems(
             )
 
 
-def counterexample_search(
-    n: int,
-    p_limit: int,
-    x_limit: int,
-    trials: int = 0,
-    seed: int = 0,
-) -> CongruenceSystem | None:
+def counterexample_search(n: int, p_limit: int, x_limit: int) -> CongruenceSystem | None:
     """Search for a system with total order big_n(n) and p > 2(max x_i + 1).
 
     Exhaustive over split primes p <= p_limit: a violation at p needs its x
     values below (p-2)/2, so it exists iff the orders of x^(2^n)+1 over that
-    restricted range sum to at least big_n(n).  Optional extra trials sample
-    random split primes above p_limit (deterministic in seed).  Expected
-    result is None.
+    restricted range sum to at least big_n(n).  Expected result is None.
     """
     total = big_n(n)
-
-    def probe(p: int) -> CongruenceSystem | None:
+    for p in _split_primes(n, p_limit):
         viol_cap = min(x_limit, (p - 3) // 2)
         if viol_cap < 1:
-            return None
+            continue
         orders = _orders_up_to(n, p, viol_cap)
         if sum(orders.values()) < total:
-            return None
+            continue
         entries = []
         remaining = total
         for x, o in sorted(orders.items(), key=lambda kv: (-kv[1], kv[0])):
@@ -540,25 +320,6 @@ def counterexample_search(
             if not remaining:
                 break
         return CongruenceSystem.make(n, p, tuple(entries))
-
-    for p in _split_primes(n, p_limit):
-        found = probe(p)
-        if found is not None:
-            return found
-
-    if trials:
-        rng = random.Random(seed)
-        step = 1 << (n + 1)
-        lo, hi = p_limit // step + 1, (1 << 40) // step
-        done = 0
-        while done < trials:
-            p = step * rng.randrange(lo, hi) + 1
-            if not is_prime(p):
-                continue
-            done += 1
-            found = probe(p)
-            if found is not None:
-                return found
     return None
 
 
@@ -595,43 +356,3 @@ def single_entry_search(n: int, x_limit: int) -> CongruenceSystem | None:
             if v % p == 0 and v % p**total == 0 and p > 2 * (x + 1):
                 return CongruenceSystem.make(n, p, ((x, total),))
     return None
-
-
-def primitive_roots_integrally_independent(m: int, n: int) -> bool:
-    """No nonzero Z[zeta_{2^(m+1)}]-combination of zeta_{2^(n+1)}^(2j-1), j <= 2^(n-m-1), vanishes.
-
-    The 2^(n-m-1) roots scaled by the 2^m-dimensional coefficient ring span a
-    rank-2^(n-1) sublattice of Z[zeta_{2^(n+1)}]; independence is checked by
-    exact column rank over Q.
-    """
-    if not 0 <= m < n:
-        raise ValueError(f"need 0 <= m < n, got m={m}, n={n}")
-    dn = 1 << n
-    count = 1 << (n - m - 1)
-    shift = 1 << (n - m)
-    cols = []
-    for j in range(1, count + 1):
-        base = 2 * j - 1
-        for i in range(1 << m):
-            e = (base + i * shift) % (1 << (n + 1))
-            vec = [0] * dn
-            if e < dn:
-                vec[e] = 1
-            else:
-                vec[e - dn] = -1
-            cols.append(vec)
-    rows = [[Fraction(col[i]) for col in cols] for i in range(dn)]
-    rank = 0
-    for col in range(len(cols)):
-        pivot = next((i for i in range(rank, dn) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col]
-        rows[rank] = [c / inv for c in rows[rank]]
-        for i in range(dn):
-            if i != rank and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank == len(cols)

@@ -26,10 +26,6 @@ class InternalRefusalError(FermatprodError, ValueError):
     """
 
 
-class LevelMismatchError(FermatprodError):
-    """Cyclotomic operands live in different ambient fields."""
-
-
 class TooFewRootsError(FermatprodError):
     """Fewer residues than the pigeonhole argument requires."""
 

@@ -1,6 +1,7 @@
 """Brute-force oracles the package no longer runs, kept to check its closed forms."""
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
@@ -124,3 +125,71 @@ def realizable_systems_by_filter(n: int, p_limit: int, x_limit: int):
             yield CongruenceSystem.make(
                 n, p, tuple((pool[i][0], ks[i]) for i in range(len(ks)))
             )
+
+
+def sylvester_resultant(A, B):
+    """Oracle: determinant of the Sylvester matrix, exact over Q."""
+    m, n = len(A) - 1, len(B) - 1
+    if m == 0 and n == 0:
+        return 1
+    size = m + n
+    ra, rb = list(reversed(A)), list(reversed(B))
+    rows = [[0] * i + ra + [0] * (size - m - 1 - i) for i in range(n)]
+    rows += [[0] * i + rb + [0] * (size - n - 1 - i) for i in range(m)]
+    mat = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((i for i in range(col, size) if mat[i][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            mat[col], mat[pivot] = mat[pivot], mat[col]
+            det = -det
+        det *= mat[col][col]
+        inv = mat[col][col]
+        for i in range(col + 1, size):
+            if mat[i][col]:
+                f = mat[i][col] / inv
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
+    assert det.denominator == 1
+    return int(det)
+
+
+def primitive_roots_integrally_independent(m: int, n: int) -> bool:
+    """No nonzero Z[zeta_{2^(m+1)}]-combination of zeta_{2^(n+1)}^(2j-1), j <= 2^(n-m-1), vanishes.
+
+    The 2^(n-m-1) roots scaled by the 2^m-dimensional coefficient ring span a
+    rank-2^(n-1) sublattice of Z[zeta_{2^(n+1)}]; independence is checked by
+    exact column rank over Q.
+    """
+    if not 0 <= m < n:
+        raise ValueError(f"need 0 <= m < n, got m={m}, n={n}")
+    dn = 1 << n
+    count = 1 << (n - m - 1)
+    shift = 1 << (n - m)
+    cols = []
+    for j in range(1, count + 1):
+        base = 2 * j - 1
+        for i in range(1 << m):
+            e = (base + i * shift) % (1 << (n + 1))
+            vec = [0] * dn
+            if e < dn:
+                vec[e] = 1
+            else:
+                vec[e - dn] = -1
+            cols.append(vec)
+    rows = [[Fraction(col[i]) for col in cols] for i in range(dn)]
+    rank = 0
+    for col in range(len(cols)):
+        pivot = next((i for i in range(rank, dn) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][col]
+        rows[rank] = [c / inv for c in rows[rank]]
+        for i in range(dn):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank == len(cols)

@@ -184,6 +184,28 @@ class TestAgainstReduction:
         with pytest.raises(ValueError):
             pi_ap(100, -8, 1, sieve)
 
+    def test_concurrent_first_callers_share_one_sieve(self):
+        limit = 5_000_003  # no other test asks for it, so the threads build it
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            barrier = threading.Barrier(4)
+            handed = []
+
+            def build():
+                barrier.wait()
+                handed.append(get_sieve(limit))
+
+            threads = [threading.Thread(target=build) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(handed) == 4 and all(sv is handed[0] for sv in handed)
+
     def test_concurrent_queries_share_one_residue_array(self):
         x, odd = LIMIT - 1, (1, 3, 5, 7)
         ps = SIEVE.primes

@@ -75,9 +75,12 @@ class TestChain:
     def test_refused_anchor_is_not_a_usage_error(self, capsys, n):
         # the search reaches an anchor value past is_prime's 2^64 limit
         code = main(["chain", n, "--json"])
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert code == 1
         assert err.startswith("internal refusal:") and "usage:" not in err
+        doc = json.loads(out)
+        assert (doc["command"], doc["pass"]) == ("chain", False)
+        assert doc["payload"]["internal_refusal"] in err
 
     def test_json_byte_identical(self, capsys):
         _, first = run(capsys, "chain", "2", "--json")

@@ -1,4 +1,4 @@
-"""cyclotomic: exact ring arithmetic, norms, pigeonhole, the prime bound."""
+"""cyclotomic: closed-form norms, pigeonhole, the prime bound."""
 
 import random
 
@@ -6,188 +6,119 @@ import pytest
 
 from fermatprod.cyclotomic import (
     CongruenceSystem,
-    CycInt,
-    _embedding_product,
-    _resultant,
+    _binomial_norm,
     check_prime_bound,
     counterexample_search,
-    cyc_add,
-    cyc_mul,
     iter_realizable_systems,
-    norm,
     pigeonhole_witness,
-    primitive_roots_integrally_independent,
     single_entry_search,
 )
-from fermatprod.errors import (
-    HypothesisUnmetError,
-    InvalidSystemError,
-    LevelMismatchError,
-    TooFewRootsError,
-)
+from fermatprod.errors import HypothesisUnmetError, InvalidSystemError, TooFewRootsError
 from fermatprod.ntcore import hensel_lift
 from fermatprod.partitions import big_n, r_bound
-from oracles import realizable_systems_by_filter
+from oracles import (
+    primitive_roots_integrally_independent,
+    realizable_systems_by_filter,
+    sylvester_resultant,
+)
 
 
-def zeta(level, e=1):
-    return CycInt.zeta_power(level, e)
+def binomial_coeffs(a, b, level, tp):
+    """a - b*x^tp reduced mod x^d + 1, d = 2^(level-1), little-endian and trimmed."""
+    d = 1 << (level - 1)
+    coeffs = [a] + [0] * (d - 1)
+    if tp < d:
+        coeffs[tp] -= b
+    else:
+        coeffs[tp - d] += b
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
 
 
-def const(level, c):
-    return CycInt.constant(level, c)
-
-
-class TestRing:
-    def test_difference_of_squares(self):
-        a = const(3, 1) + zeta(3)
-        b = const(3, 1) - zeta(3)
-        assert (a * b).coeffs == (1, 0, -1, 0)  # 1 - zeta^2
-
-    def test_zeta_powers_wrap_with_sign(self):
-        assert (zeta(3, 1) * zeta(3, 3)).coeffs == (-1, 0, 0, 0)  # zeta8^4 = -1
-        assert zeta(3, 9).coeffs == zeta(3, 1).coeffs  # order 8
-
-    def test_additive_identity_component(self):
-        assert (const(3, 3) + zeta(3) - 3).coeffs == (0, 1, 0, 0)
-
-    def test_level_mismatch(self):
-        with pytest.raises(LevelMismatchError):
-            cyc_add(const(2, 1), const(3, 1))
-        with pytest.raises(LevelMismatchError):
-            cyc_mul(const(2, 1), const(3, 1))
-
-    def test_level_one_is_integers(self):
-        # zeta_2 = -1, so the ring is Z and zeta_power folds to a sign
-        assert zeta(1, 1).coeffs == (-1,)
-        assert (const(1, 3) * const(1, 5)).coeffs == (15,)
-
-    def test_ring_axioms_random(self):
-        rng = random.Random(7)
-        for level in (2, 3, 4, 5):
-            d = 1 << (level - 1)
-            for _ in range(20):
-                a = CycInt(level, tuple(rng.randint(-9, 9) for _ in range(d)))
-                b = CycInt(level, tuple(rng.randint(-9, 9) for _ in range(d)))
-                c = CycInt(level, tuple(rng.randint(-9, 9) for _ in range(d)))
-                assert (a * b).coeffs == (b * a).coeffs
-                assert ((a + b) * c).coeffs == (a * c + b * c).coeffs
-                assert ((a * b) * c).coeffs == (a * (b * c)).coeffs
-
-
-def sylvester_resultant(A, B):
-    """Oracle: determinant of the Sylvester matrix, exact over Q."""
-    from fractions import Fraction
-
-    m, n = len(A) - 1, len(B) - 1
-    if m == 0 and n == 0:
-        return 1
-    size = m + n
-    ra, rb = list(reversed(A)), list(reversed(B))
-    rows = [[0] * i + ra + [0] * (size - m - 1 - i) for i in range(n)]
-    rows += [[0] * i + rb + [0] * (size - n - 1 - i) for i in range(m)]
-    mat = [[Fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((i for i in range(col, size) if mat[i][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = mat[col][col]
-        for i in range(col + 1, size):
-            if mat[i][col]:
-                f = mat[i][col] / inv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
-    assert det.denominator == 1
-    return int(det)
+def norm_cases(level, seed):
+    """(a, b, t') for every t' in [0, 2^level): random a, b <= 10^6, a = b, b = 0 and a = 0."""
+    rng = random.Random(seed)
+    for tp in range(1 << level):
+        a, b = rng.randint(1, 10**6), rng.randint(1, 10**6)
+        for pair in ((a, b), (a, a), (a, 0), (0, b)):
+            yield pair + (tp,)
 
 
 class TestResultant:
+    """The Sylvester-determinant oracle that the closed-form norm is checked against."""
+
     def test_known_values(self):
-        assert _resultant([1, 0, 1], [-3, 1]) == 10  # x^2+1 vs x-3
-        assert _resultant([1, 0, 0, 0, 1], [1, 1, 1]) == 1  # x^4+1 vs x^2+x+1
-        assert _resultant([1, 0, 1], [5]) == 25  # constant
-        assert _resultant([1, 0, 1], [1, 0, 1]) == 0  # common factor
+        assert sylvester_resultant([1, 0, 1], [-3, 1]) == 10  # x^2+1 vs x-3
+        assert sylvester_resultant([1, 0, 0, 0, 1], [1, 1, 1]) == 1  # x^4+1 vs x^2+x+1
+        assert sylvester_resultant([1, 0, 1], [5]) == 25  # constant
+        assert sylvester_resultant([1, 0, 1], [1, 0, 1]) == 0  # common factor
 
     def test_swap_sign(self):
         # res(f, g) = (-1)^(deg f * deg g) res(g, f)
         f, g = [1, 0, 1], [-3, 1]
-        assert _resultant(g, f) == (-1) ** (2 * 1) * _resultant(f, g)
-        f, g = [2, 1, 1], [-1, 1]  # deg 2 * deg 1
-        assert _resultant(f, g) == _resultant(g, f) * (-1) ** 2
+        assert sylvester_resultant(g, f) == sylvester_resultant(f, g) == 10
+        f, g = [-3, 1], [1, 0, 0, 1]  # deg 1 * deg 3, and x^3+1 at 3 is 28
+        assert sylvester_resultant(f, g) == -sylvester_resultant(g, f) == 28
 
     def test_random_against_sylvester_determinant(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.symbols("x")
         rng = random.Random(123)
-        for _ in range(250):
-            dA, dB = rng.randint(0, 7), rng.randint(0, 7)
+        for _ in range(100):
+            dA, dB = rng.randint(1, 7), rng.randint(1, 7)
             A = [rng.randint(-9, 9) for _ in range(dA)] + [rng.choice([-9, -5, -1, 1, 3, 9])]
             B = [rng.randint(-9, 9) for _ in range(dB)] + [rng.choice([-7, -2, 1, 2, 5, 8])]
-            assert _resultant(A, B) == sylvester_resultant(A, B), (A, B)
+            want = sympy.resultant(sympy.Poly(A[::-1], x), sympy.Poly(B[::-1], x))
+            assert abs(sylvester_resultant(A, B)) == abs(int(want)), (A, B)
 
 
 class TestNorm:
     def test_known_norms(self):
-        assert norm(const(3, 3) + zeta(3)) == 82  # 3^4 + 1
-        assert norm(const(4, 1)) == 1
-        assert norm(const(3, 1) - zeta(3)) == 2  # cyclotomic value at 1
-        assert norm(const(3, 0)) == 0
+        assert _binomial_norm(3, -1, 3, 1) == 82  # 3 + zeta_8: 3^4 + 1
+        assert _binomial_norm(1, 0, 4, 0) == 1
+        assert _binomial_norm(1, 1, 3, 1) == 2  # 1 - zeta_8: the cyclotomic value at 1
+        assert _binomial_norm(0, 0, 3, 5) == 0
 
     def test_value_factorization_identity(self):
-        # norm(x + zeta_{2^(n+1)}) = x^(2^n) + 1, every x up to 1000
-        for n in (1, 2, 3, 4):
-            level = n + 1
-            for x in range(1, 1001):
-                assert norm(const(level, x) + zeta(level)) == x ** (1 << n) + 1, (n, x)
+        # N(x + zeta_{2^(n+1)}) = x^(2^n) + 1, every x up to 1000 for n <= 4
+        for n in (1, 2, 3, 4, 5, 6):
+            for x in range(1, 1001) if n <= 4 else (2, 9, 1000):
+                assert _binomial_norm(x, -1, n + 1, 1) == x ** (1 << n) + 1, (n, x)
 
     def test_norm_of_rational_integer(self):
         for level in (1, 2, 3, 4):
-            d = 1 << (level - 1)
-            assert norm(const(level, -7)) == (-7) ** d
-
-    def test_multiplicativity_random(self):
-        rng = random.Random(20240811)
-        for level in (2, 3, 4, 5):
-            d = 1 << (level - 1)
-            for _ in range(25):
-                a = CycInt(level, tuple(rng.randint(-10, 10) for _ in range(d)))
-                b = CycInt(level, tuple(rng.randint(-10, 10) for _ in range(d)))
-                assert norm(a * b) == norm(a) * norm(b)
+            for tp in range(1 << level):
+                assert _binomial_norm(-7, 0, level, tp) == 7 ** (1 << (level - 1))
 
     def test_positive_at_complex_levels(self):
+        # B = a - b*w vanishes only at a = b*w, so its norm is positive otherwise
         rng = random.Random(99)
         for level in (2, 3, 4):
-            d = 1 << (level - 1)
-            for _ in range(30):
-                a = CycInt(level, tuple(rng.randint(-50, 50) for _ in range(d)))
-                if not a.is_zero():
-                    assert norm(a) > 0
+            for tp in range(1 << level):
+                for _ in range(10):
+                    a, b = rng.randint(-50, 50), rng.randint(-50, 50)
+                    w = {0: 1, 1 << (level - 1): -1}.get(tp)
+                    assert (_binomial_norm(a, b, level, tp) == 0) == (w is not None and a == b * w)
 
-    def test_embedding_crosscheck_window(self):
-        rng = random.Random(5)
-        for level in (2, 3, 4, 5):
-            d = 1 << (level - 1)
-            for _ in range(10):
-                a = CycInt(level, tuple(rng.randint(-(10**6), 10**6) for _ in range(d)))
-                exact = norm(a)  # raises ArithmeticError on cross-check failure
-                approx = abs(_embedding_product(a))
-                if exact:
-                    assert abs(approx - abs(exact)) <= 1e-6 * abs(exact)
+    @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+    def test_against_sylvester_resultant(self, level):
+        d = 1 << (level - 1)
+        modulus = [1] + [0] * (d - 1) + [1]
+        for a, b, tp in norm_cases(level, seed=level):
+            want = abs(sylvester_resultant(modulus, binomial_coeffs(a, b, level, tp)))
+            assert _binomial_norm(a, b, level, tp) == want, (level, a, b, tp)
 
-    def test_galois_invariance(self):
-        # conjugating by zeta -> zeta^3 fixes the norm
-        a = const(4, 2) + zeta(4, 1) + 3 * zeta(4, 2)
-        conj = const(4, 2) + zeta(4, 3) + 3 * zeta(4, 6)
-        assert norm(a) == norm(conj)
-
-    def test_identity_beyond_crosscheck_window(self):
-        # levels 6 and 7 skip the embedding comparison but stay exact
-        for n in (5, 6):
-            level = n + 1
-            for x in (2, 9):
-                assert norm(const(level, x) + zeta(level)) == x ** (1 << n) + 1
+    @pytest.mark.parametrize("level", [6, 7])
+    def test_against_sympy_resultant(self, level):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.symbols("x")
+        d = 1 << (level - 1)
+        rng = random.Random(level)
+        for tp in range(1 << level):
+            a, b = rng.randint(1, 10**6), rng.randint(1, 10**6)
+            want = abs(int(sympy.resultant(x**d + 1, a - b * x**tp, x)))
+            assert _binomial_norm(a, b, level, tp) == want, (level, a, b, tp)
 
 
 class TestPigeonhole:
@@ -271,6 +202,14 @@ class TestPrimeBound:
         rep = check_prime_bound(s)
         assert rep.holds and rep.certificate.branch == "order"
         assert rep.certificate.prime_power == 25 and rep.certificate.norm_value == 50
+
+    @pytest.mark.parametrize("entries,tp", [(((2, 1), (7, 1)), 0), (((2, 1), (3, 1)), 1)])
+    def test_norm_branch_at_rational_units(self, entries, tp):
+        # 7 = 2 (mod 5) shares 2's root class, so w = 1; 3 = -2 is the other, so w = -1
+        rep = check_prime_bound(CongruenceSystem.make(1, 5, entries))
+        cert = rep.certificate
+        assert rep.holds and (cert.branch, cert.m, cert.t >> 1) == ("norm", 0, tp)
+        assert cert.prime_power == cert.norm_value == 5
 
     def test_hypothesis_required(self):
         s = CongruenceSystem.make(2, 17, ((2, 1), (8, 1)))  # total 2 < 5
@@ -357,7 +296,6 @@ class TestPrimeBound:
     def test_search_finds_nothing(self):
         assert counterexample_search(1, 300, 200) is None
         assert counterexample_search(2, 300, 200) is None
-        assert counterexample_search(2, 300, 200, trials=5, seed=3) is None
 
     def test_single_entry_search(self):
         assert single_entry_search(1, 2000) is None
