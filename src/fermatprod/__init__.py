@@ -44,10 +44,10 @@ from .partitions import (
 )
 from .prodorders import (
     ChainLink,
+    ChainReport,
     ValuationTable,
     alpha_p,
     alpha_two,
-    anchor_chain_search,
     beta_p,
     bound_checks,
     build_valuation_table,
@@ -55,9 +55,8 @@ from .prodorders import (
     min_order,
     min_order_scan,
     product_value,
-    validate_chain_link,
+    verify_chain,
     verify_chain_link,
-    verify_quartic_chain,
 )
 
 __version__ = "0.1.0"
@@ -65,12 +64,12 @@ __version__ = "0.1.0"
 __all__ = [
     "CongruenceSystem",
     "ChainLink",
+    "ChainReport",
     "Partition",
     "RootSet",
     "ValuationTable",
     "alpha_p",
     "alpha_two",
-    "anchor_chain_search",
     "beta_p",
     "big_n",
     "bound_checks",
@@ -101,8 +100,7 @@ __all__ = [
     "satisfies_condition",
     "single_entry_search",
     "theta_ap",
-    "validate_chain_link",
+    "verify_chain",
     "verify_chain_link",
     "verify_minimality",
-    "verify_quartic_chain",
 ]

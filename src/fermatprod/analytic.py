@@ -358,7 +358,7 @@ def final_inequality_margin(m: int, n: int) -> tuple[float, float]:
         raise ValueError(f"need n >= 2, got {n}")
     lhs = 3.0 * (0.245 * math.log(m) - 3.15)
     ratio = (m + 1) / (m - 1)
-    rhs = 2.2 * m / (m - 1) + ratio * math.log(2) / (1 << (n + 1)) + 8.0 * ratio
+    rhs = 2.2 * m / (m - 1) + ratio * math.ldexp(math.log(2), -(n + 1)) + 8.0 * ratio
     return lhs, rhs
 
 

@@ -21,7 +21,6 @@ from . import analytic, cyclotomic, partitions, prodorders
 from .errors import (
     BeyondSieveError,
     CertificateError,
-    ChainBreakError,
     InfeasibleSizeError,
     InternalRefusalError,
 )
@@ -103,32 +102,18 @@ def _link_doc(link: prodorders.ChainLink) -> dict:
 
 
 def _cmd_chain(args) -> RunReport:
-    params = {"n": args.n}
-    if args.n == 2:
-        try:
-            rep = prodorders.verify_quartic_chain()
-        except ChainBreakError as err:
-            return RunReport("chain", params, False, {"error": str(err)})
-        payload = {
-            "steps": [
-                {"name": s.name, "pass": s.passed, "detail": s.detail} for s in rep.steps
-            ],
-            "covered_through": rep.covered_through,
-        }
-        return RunReport("chain", params, rep.passed, payload)
-    res = prodorders.anchor_chain_search(args.n, max_links=args.max_links)
+    rep = prodorders.verify_chain(args.n)
     payload = {
-        "trivial_through": res["trivial_through"],
-        "links": [_link_doc(l) for l in res["links"]],
-        "covered_through": res["covered_through"],
-        "gap": list(res["gap"]) if res["gap"] else None,
-        "order_bound_proved": res["bound_proved"],
-        "order_bound_needed": res["bound_needed"],
-        "bound_sufficient": res["bound_sufficient"],
+        "trivial_through": rep.trivial_through,
+        "links": [_link_doc(l) for l in rep.links],
+        "covered_through": rep.covered_through,
+        "gap": list(rep.gap) if rep.gap else None,
+        "order_bound_proved": rep.order_bound_proved,
+        "order_bound_needed": rep.order_bound_needed,
+        "bound_sufficient": rep.bound_sufficient,
+        "steps": list(rep.steps),
     }
-    # a gap-free chain proves nothing unless its order bound is enough
-    passed = res["gap"] is None and res["bound_sufficient"]
-    return RunReport("chain", params, passed, payload)
+    return RunReport("chain", {"n": args.n}, rep.passed, payload)
 
 
 def _cmd_partitions(args) -> RunReport:
@@ -239,7 +224,7 @@ def _cmd_verify_all(args) -> RunReport:
         return True, f"minimality verified for n=2..{top}"
 
     def chain_check():
-        rep = prodorders.verify_quartic_chain()
+        rep = prodorders.verify_chain(2)
         return rep.passed, f"covered through {rep.covered_through}"
 
     def orders_check():
@@ -336,7 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_chain = sub.add_parser("chain", parents=[common], help="verify or discover anchor chains")
     p_chain.add_argument("n", type=int)
-    p_chain.add_argument("--max-links", type=int, default=12)
     p_chain.set_defaults(fn=_cmd_chain)
 
     p_part = sub.add_parser("partitions", parents=[common], help="extreme partition and minimality")

@@ -13,7 +13,7 @@ ntcore.is_probable_prime, deterministic Miller-Rabin below 2^64 and
 Baillie-PSW above.  A query at or below m_done aggregates the stored
 prefix.  Every query checks its exponent sum for each split p <= m against
 alpha_p.  Chain links certify that a single anchored prime keeps some order
-at most 2^n across a verified interval of m.
+at most 2^n across a verified interval of m; verify_chain joins them greedily.
 """
 
 from __future__ import annotations
@@ -556,149 +556,100 @@ def verify_chain_link(a: int, n: int) -> ChainLink:
     return ChainLink(anchor=a, n=n, p=p, next_roots=nxt, cover_hi=max(nxt) - 1)
 
 
-def validate_chain_link(link: ChainLink) -> None:
-    """Re-verify a ChainLink from its fields alone; raises ChainBreakError."""
-    if link.anchor < 2 or link.anchor % 2:
-        raise ChainBreakError(f"anchor {link.anchor} has wrong parity")
-    e = 1 << link.n
-    if link.p != link.anchor**e + 1 or not is_prime(link.p):
-        raise ChainBreakError(f"{link.p} is not the anchor's prime")
-    if len(link.next_roots) != e:
-        raise ChainBreakError(f"expected {e} next roots, got {len(link.next_roots)}")
-    classes = set()
-    top = max(link.next_roots)
-    for x in link.next_roots:
-        if not link.anchor < x <= link.anchor + link.p:
-            raise ChainBreakError(f"{x} is not the next member of its class")
-        v = x**e + 1
-        if v % link.p:
-            raise ChainBreakError(f"{link.p} does not divide {x}^(2^{link.n})+1")
-        if x < top and (v // link.p) % link.p == 0:
-            raise ChainBreakError(f"ord of {x}^(2^{link.n})+1 at {link.p} is not 1")
-        classes.add(x % link.p)
-    if len(classes) != e:
-        raise ChainBreakError("next roots do not cover distinct residue classes")
-    if link.cover_hi != max(link.next_roots) - 1:
-        raise ChainBreakError("cover_hi does not match the largest next root")
+def _anchor_cap(n: int) -> int:
+    """Largest a with a^(2^n)+1 below is_prime's limit 2^64: the n-fold isqrt of 2^64 - 2."""
+    cap = PRIMALITY_LIMIT - 2
+    for _ in range(n):
+        if cap == 1:
+            break
+        cap = isqrt(cap)
+    return cap
+
+
+def _next_link(n: int, frontier: int, cap: int) -> ChainLink | None:
+    """The link at the largest even anchor a <= min(frontier+1, cap) covering past frontier."""
+    top = min(frontier + 1, cap)
+    for a in range(top - top % 2, 1, -2):
+        if not is_prime(a ** (1 << n) + 1):
+            continue
+        try:
+            link = verify_chain_link(a, n)
+        except ChainBreakError:
+            continue  # some next root has order > 1: an unusable anchor
+        if link.cover_hi > frontier:
+            return link
+    return None
 
 
 @dataclass(frozen=True)
-class ChainStep:
-    name: str
-    passed: bool
-    detail: dict
+class ChainReport:
+    """The level-n chain; steps are {"name", "pass", "detail"} dicts in proof order."""
 
-
-@dataclass(frozen=True)
-class QuarticChainReport:
-    steps: tuple[ChainStep, ...]
+    n: int
+    trivial_through: int
+    links: tuple[ChainLink, ...]
     covered_through: int
+    gap: tuple[int, int] | None
+    order_bound_proved: int
+    order_bound_needed: int
+    bound_sufficient: bool
+    steps: tuple[dict, ...]
 
     @property
     def passed(self) -> bool:
-        return all(s.passed for s in self.steps)
+        return self.gap is None and self.bound_sufficient and all(s["pass"] for s in self.steps)
 
 
-def verify_quartic_chain() -> QuarticChainReport:
-    """Verify that every m >= 1 admits a prime of order at most 4 in P(m, 2).
+def verify_chain(n: int) -> ChainReport:
+    """Verify that every P(m, n) has a prime of order at most n*2^(n-1).
 
-    Four steps: (i) ord_2(P(m,2)) lies in [1,3] for m <= 5 by direct
-    computation; (ii) the link at anchor 6 covers [6, 1302]; (iii) the link
-    at anchor 1302 covers [1302, 2873716602918], past 10^12; (iv) the
-    analytic contradiction threshold is at most 10^12, so the asymptotic
-    argument covers everything beyond the chain.
+    The trivial prefix m <= n*2^n needs no link: ord_2(P(m, n)) = ceil(m/2)
+    stays within n*2^(n-1) there, and step tiny_range_ord2 computes it
+    directly for every m below the first anchor (with no anchor, for m up to
+    min(n*2^n, cap)).  Links are then found greedily: from the frontier f,
+    the largest even anchor a <= min(f+1, cap) whose link covers past f,
+    where cap is the largest a with a^(2^n)+1 below is_prime's 2^64 limit.
+    The frontier grows with every link, and the search stops once it reaches
+    the cap or when no anchor extends it (a gap).  The chain proves the claim
+    when it has no gap, its bound 2^n is at most n*2^(n-1), and the analytic
+    crossing is at most min(10^12, covered_through + 1), so that the closing
+    inequality holds at every larger m.  At n = 2 the anchors are 6 and 1302.
     """
-    steps = []
-
-    prod = 1
-    ord2 = []
-    for m in range(1, 6):
-        prod *= m**4 + 1
-        ord2.append((prod & -prod).bit_length() - 1)
-    ok1 = all(1 <= o <= 3 for o in ord2) and ord2 == [alpha_two(m, 2) for m in range(1, 6)]
-    steps.append(ChainStep("tiny_range_ord2", ok1, {"ord2": ord2}))
-
-    link1 = verify_chain_link(6, 2)
-    ok2 = link1.anchor == 6 and link1.cover_hi >= link1.anchor
-    steps.append(
-        ChainStep(
-            "link_anchor_6",
-            ok2,
-            {"p": link1.p, "next_roots": list(link1.next_roots), "cover_hi": link1.cover_hi},
-        )
-    )
-
-    link2 = verify_chain_link(1302, 2)
-    ok3 = link2.anchor <= link1.cover_hi and link2.cover_hi > 10**12
-    steps.append(
-        ChainStep(
-            "link_anchor_1302",
-            ok3,
-            {"p": link2.p, "next_roots": list(link2.next_roots), "cover_hi": link2.cover_hi},
-        )
-    )
-
-    crossing = final_inequality_crossing(2)
-    ok4 = link1.anchor <= 6 and crossing <= 10**12 and crossing <= link2.cover_hi + 1
-    steps.append(
-        ChainStep(
-            "asymptotic_handoff",
-            ok4,
-            {"crossing": crossing, "chain_cover_hi": link2.cover_hi},
-        )
-    )
-
-    report = QuarticChainReport(tuple(steps), link2.cover_hi)
-    if not report.passed:
-        failing = next(s.name for s in steps if not s.passed)
-        raise ChainBreakError(f"quartic chain verification failed at step {failing}")
-    return report
-
-
-def anchor_chain_search(n: int, max_links: int = 12) -> dict:
-    """Greedy chain discovery for levels other than 2.
-
-    Starting from the trivial prefix m <= n*2^n (where ord_2 = ceil(m/2)
-    already stays within n*2^(n-1)), repeatedly picks the largest even anchor
-    a at most frontier+1 with a^(2^n)+1 prime and extends the covered range.
-    Stops at max_links, at the 64-bit primality ceiling, or on a gap.
-    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     e = 1 << n
+    needed = n << (n - 1)
+    cap = _anchor_cap(n)
     frontier = n << n  # ceil(m/2) <= n*2^(n-1) iff m <= n*2^n
-    anchor_cap = int((PRIMALITY_LIMIT - 2) ** (1.0 / e))
     links: list[ChainLink] = []
-    gap: tuple[int, int] | None = None
-    while len(links) < max_links:
-        a = min(frontier + 1, anchor_cap)
-        a -= a % 2
-        best = None
-        while a >= 2:
-            if is_prime(a**e + 1):
-                try:
-                    link = verify_chain_link(a, n)
-                except ChainBreakError:
-                    link = None  # some next root has order > 1; unusable anchor
-                if link is not None and link.cover_hi > frontier:
-                    best = link
-                    break
-            a -= 2
-        if best is None:
+    steps = []
+    gap = None
+    # the trivial prefix may already pass the cap (n = 4, 5); one link can still carry it far
+    while not links or frontier < cap:
+        link = _next_link(n, frontier, cap)
+        if link is None:
             gap = (frontier + 1, frontier + 1)
             break
-        links.append(best)
-        frontier = best.cover_hi
-        if frontier + 1 > anchor_cap and len(links) >= 1:
-            break
-    return {
-        "n": n,
-        "trivial_through": n << n,
-        "links": links,
-        "covered_through": frontier,
-        "gap": gap,
-        "bound_proved": 1 << n,
-        "bound_needed": n << (n - 1),
-        "bound_sufficient": n >= 2,
-    }
+        detail = {"p": link.p, "next_roots": list(link.next_roots), "cover_hi": link.cover_hi}
+        ok = link.anchor <= frontier + 1 and link.cover_hi > frontier
+        steps.append({"name": f"link_anchor_{link.anchor}", "pass": ok, "detail": detail})
+        links.append(link)
+        frontier = link.cover_hi
+
+    first = links[0].anchor if links else min(n << n, cap) + 1
+    prod, ord2 = 1, []
+    for m in range(1, first):
+        prod *= m**e + 1
+        ord2.append((prod & -prod).bit_length() - 1)
+    tiny_ok = ord2 == [alpha_two(m, n) for m in range(1, first)] and max(ord2, default=0) <= needed
+    steps.insert(0, {"name": "tiny_range_ord2", "pass": tiny_ok, "detail": {"ord2": ord2}})
+
+    # the closing inequality is stated for n >= 2 only
+    crossing = final_inequality_crossing(n) if n >= 2 else None
+    handoff_ok = crossing is not None and crossing <= min(10**12, frontier + 1)
+    detail = {"crossing": crossing, "chain_cover_hi": frontier}
+    steps.append({"name": "asymptotic_handoff", "pass": handoff_ok, "detail": detail})
+    return ChainReport(n, n << n, tuple(links), frontier, gap, e, needed, e <= needed, tuple(steps))
 
 
 # --- ingredient bounds -------------------------------------------------------

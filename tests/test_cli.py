@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from fermatprod import cli, cyclotomic
+from fermatprod import cli, cyclotomic, prodorders
 from fermatprod.cli import main
+from fermatprod.errors import InternalRefusalError
 from fermatprod.partitions import PARTITION_MAX_N
 
 
@@ -55,7 +56,7 @@ class TestChain:
         assert doc["payload"]["covered_through"] == 2873716602918
 
     def test_quadratic_discovery(self, capsys):
-        code, out = run(capsys, "chain", "1", "--max-links", "3", "--json")
+        code, out = run(capsys, "chain", "1", "--json")
         assert code == 1
         doc = json.loads(out)
         assert doc["pass"] is False
@@ -64,16 +65,20 @@ class TestChain:
         assert doc["payload"]["bound_sufficient"] is False
 
     def test_octic_discovery(self, capsys):
+        # the only certifiable anchors stop at 255, far short of the crossing
         code, out = run(capsys, "chain", "3", "--json")
-        assert code == 0
+        assert code == 1
         doc = json.loads(out)
         assert doc["payload"]["links"][0]["p"] == 65537
         assert doc["payload"]["bound_sufficient"] is True
-        assert doc["payload"]["covered_through"] >= 65540
+        assert doc["payload"]["covered_through"] == 65540
 
     @pytest.mark.parametrize("n", ["4", "5"])
-    def test_refused_anchor_is_not_a_usage_error(self, capsys, n):
-        # the search reaches an anchor value past is_prime's 2^64 limit
+    def test_refused_anchor_is_not_a_usage_error(self, capsys, monkeypatch, n):
+        def refuse(v):
+            raise InternalRefusalError(f"refused {v}")
+
+        monkeypatch.setattr(prodorders, "is_prime", refuse)
         code = main(["chain", n, "--json"])
         out, err = capsys.readouterr()
         assert code == 1
@@ -86,6 +91,15 @@ class TestChain:
         _, first = run(capsys, "chain", "2", "--json")
         _, second = run(capsys, "chain", "2", "--json")
         assert first == second
+
+    @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 64, 1100, 2000])
+    def test_every_level_exits_cleanly(self, capsys, n):
+        # 2 for a level below 1, else a full report: 0 only at n = 2
+        code = main(["chain", str(n), "--json"])
+        out, err = capsys.readouterr()
+        assert code == (2 if n < 1 else 0 if n == 2 else 1), n
+        if n >= 1:
+            assert json.loads(out)["payload"]["steps"] and not err
 
 
 class TestPartitions:
@@ -171,6 +185,13 @@ class TestAnalytic:
         with pytest.raises(SystemExit) as exc:
             main(["analytic", "--check", "nonsense"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("check", ["crossing", "margin"])
+    @pytest.mark.parametrize("n", ["2", "1022", "1023", "2000"])
+    def test_closing_inequality_at_any_level(self, capsys, check, n):
+        # 2^-(n+1) underflows quietly instead of overflowing a float conversion
+        assert main(["analytic", "--check", check, "--n", n, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
 
     def test_domain_error_exits_2(self, capsys):
         # the progression bound is asserted only for n >= 2

@@ -26,4 +26,8 @@ def test_orders_dump_alpha_digest(capsys, key):
 
 @pytest.mark.parametrize("command", sorted(CLI_GOLDEN["sha256"]))
 def test_cli_json_digest(capsys, command):
-    assert stdout_digest(capsys, command.split()) == CLI_GOLDEN["sha256"][command]
+    # the digest pins "pass", and with it the exit code: failed runs are pinned too
+    code = main(command.split())
+    out = capsys.readouterr().out
+    assert code == (0 if json.loads(out)["pass"] else 1)
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_GOLDEN["sha256"][command]

@@ -21,6 +21,7 @@ from fermatprod.errors import (
 )
 from fermatprod.prodorders import (
     ChainLink,
+    _anchor_cap,
     _factor_into,
     alpha_p,
     alpha_two,
@@ -31,10 +32,10 @@ from fermatprod.prodorders import (
     min_order,
     min_order_scan,
     product_value,
-    validate_chain_link,
+    verify_chain,
     verify_chain_link,
-    verify_quartic_chain,
 )
+from oracles import validate_chain_link
 
 
 def ord_in(p, v):
@@ -422,16 +423,41 @@ class TestChainLinks:
         assert alpha_p(1302, 2, link.p) == 4
 
     def test_quartic_chain_report(self):
-        rep = verify_quartic_chain()
+        rep = verify_chain(2)
         assert rep.passed
         assert rep.covered_through == 2873716602918
-        assert [s.name for s in rep.steps] == [
+        assert [l.anchor for l in rep.links] == [6, 1302]
+        assert [s["name"] for s in rep.steps] == [
             "tiny_range_ord2",
             "link_anchor_6",
             "link_anchor_1302",
             "asymptotic_handoff",
         ]
         assert rep.covered_through > 10**12
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_anchor_cap_is_exact(self, n):
+        # the largest a whose a^(2^n)+1 is_prime can still decide
+        cap = _anchor_cap(n)
+        e = 1 << n
+        assert cap**e + 1 < 1 << 64 <= (cap + 1) ** e + 1
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_chain_links_against_oracles(self, n):
+        sympy = pytest.importorskip("sympy")
+        from sympy.ntheory import nthroot_mod
+
+        rep = verify_chain(n)
+        frontier = rep.trivial_through
+        for link in rep.links:
+            validate_chain_link(link)
+            assert sympy.isprime(link.p)
+            roots = sorted(nthroot_mod(link.p - 1, 1 << n, link.p, all_roots=True))
+            assert roots[0] == link.anchor
+            assert list(link.next_roots) == sorted(r + link.p if r <= link.anchor else r for r in roots)
+            assert link.anchor <= frontier + 1 and link.cover_hi > frontier
+            frontier = link.cover_hi
+        assert rep.covered_through == frontier
 
     def test_links_overlap(self):
         l1 = verify_chain_link(6, 2)
