@@ -48,27 +48,32 @@ class RunReport:
     wall_time_s: float | None = None
 
 
-def _emit(report: RunReport, as_json: bool) -> int:
-    if as_json:
-        doc = {
-            "schema": SCHEMA,
-            "command": report.command,
-            "params": report.params,
-            "pass": report.passed,
-            "payload": report.payload,
-            "wall_time_s": None,  # omitted from JSON to keep output byte-stable
-        }
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-    else:
-        print(f"command : {report.command}")
-        for key, val in sorted(report.params.items()):
-            print(f"  {key} = {val}")
-        for key, val in report.payload.items():
-            print(f"{key}: {val}")
+def _render(report: RunReport, as_json: bool) -> str:
+    """The report as printed: canonical JSON, or one "key: value" line per field.
+
+    An integer with more digits than Python converts to text (4300 by
+    default, sys.set_int_max_str_digits) raises InfeasibleSizeError.
+    """
+    try:
+        if as_json:
+            doc = {
+                "schema": SCHEMA,
+                "command": report.command,
+                "params": report.params,
+                "pass": report.passed,
+                "payload": report.payload,
+                "wall_time_s": None,  # omitted from JSON to keep output byte-stable
+            }
+            return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        lines = [f"command : {report.command}"]
+        lines += [f"  {key} = {val}" for key, val in sorted(report.params.items())]
+        lines += [f"{key}: {val}" for key, val in report.payload.items()]
         status = "PASS" if report.passed else "FAIL"
         took = f" ({report.wall_time_s:.3f}s)" if report.wall_time_s is not None else ""
-        print(f"result  : {status}{took}")
-    return 0 if report.passed else 1
+        lines.append(f"result  : {status}{took}")
+        return "\n".join(lines)
+    except ValueError as err:
+        raise InfeasibleSizeError(f"the report holds an integer too long to print: {err}") from err
 
 
 def _cmd_orders(args) -> RunReport:
@@ -363,17 +368,20 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         report = args.fn(args)
+        report.wall_time_s = time.perf_counter() - start
+        text = _render(report, args.json)
     except InfeasibleSizeError as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return 2
     except InternalRefusalError as err:
         print(f"internal refusal: {err}", file=sys.stderr)
-        return _emit(RunReport(args.command, {}, False, {"internal_refusal": str(err)}), args.json)
+        report = RunReport(args.command, {}, False, {"internal_refusal": str(err)})
+        text = _render(report, args.json)
     except (BeyondSieveError, ValueError) as err:
         print(f"usage: {err}", file=sys.stderr)
         return 2
-    report.wall_time_s = time.perf_counter() - start
-    return _emit(report, args.json)
+    print(text)
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":

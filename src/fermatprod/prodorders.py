@@ -10,10 +10,19 @@ B = max(m, min(isqrt(m^(2^n)+1), 1024 m, 2^20)), and the residual is split.
 Each residual prime is certified in one of three ways: by size, when it
 lies below (B+1)^2 (it has no prime factor <= B); otherwise by
 ntcore.is_probable_prime, deterministic Miller-Rabin below 2^64 and
-Baillie-PSW above.  A query at or below m_done aggregates the stored
-prefix.  Every query checks its exponent sum for each split p <= m against
-alpha_p.  Chain links certify that a single anchored prime keeps some order
-at most 2^n across a verified interval of m; verify_chain joins them greedily.
+Baillie-PSW above.  The composite residuals of an extension are split
+together, round by round.  Below 2^55, a batch of at least 32 runs as
+lockstep int64 Brent walks, one per numpy lane; each modular product takes
+its quotient from a floating-point estimate and its remainder from wrapping
+int64 arithmetic, exact below 2^55.  The float decides no factor: every
+divisor is a gcd with v, checked by exact division on Python integers, so
+an estimate can cost time but never yield a wrong factor.  Larger
+residuals, smaller batches and composites the batch leaves open go to
+Pollard-Brent rho on Python integers.  A query at or below m_done
+aggregates the stored prefix.  Every query checks its exponent sum for
+each split p <= m against alpha_p.  Chain links certify that a single
+anchored prime keeps some order at most 2^n across a verified interval of
+m; verify_chain joins them greedily.
 """
 
 from __future__ import annotations
@@ -157,30 +166,157 @@ def _rho_brent(v: int, k: int) -> int:
         c += 1
 
 
-def _factor_into(c: int, out: dict[int, int], k: int, proven: int) -> None:
-    """Accumulate the prime factorization of c into out.
+# Word-size composites are split in one batch: _LANES int64 Brent walks run
+# in lockstep, one per numpy lane, and each lane takes gcd(q, v) once every
+# _GCD_BLOCK steps.  A block costs the same for any batch (about 4 ms at
+# k = 8), so a batch pays off only from _MIN_BATCH composites on: at 32 it
+# ties with _rho_brent per composite, at 128 it takes 0.9 ms against 1.5 ms.
+# Residuals of at least _WORD_LIMIT, smaller batches, and any composite the
+# batch leaves open after _STEP_BUDGET steps or _COLLAPSE_LIMIT collapsed
+# walks go to _rho_brent.
+_LANES = 512
+_MIN_BATCH = 32
+_GCD_BLOCK = 64
+_WORD_LIMIT = 1 << 55
+_STEP_BUDGET = 1 << 15
+_COLLAPSE_LIMIT = 8
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, v: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """a*b mod v lane by lane (int64), given inv = 1.0/v; exact for v < 2^55 and |a|, |b| < v + 2^20.
+
+    The float quotient a*inv*b, truncated, is within 22 of floor(a*b/v), so
+    the exact a*b - q*v lies within 23v < 2^60 of zero, and wrapping int64
+    arithmetic, exact mod 2^64, yields it exactly.  The float only estimates;
+    the final % v decides.
+    """
+    return (a * b - (a * inv * b).astype(np.int64) * v) % v
+
+
+def _walk_lanes(vs: list[int], k: int) -> list[int]:
+    """A divisor 1 < d < v of each odd composite v < _WORD_LIMIT in vs, or 0 where none was found.
+
+    Each lane runs Brent's cycle search on y -> y^k + c (k a power of two,
+    applied as repeated squaring), accumulating q = q*(x - y) mod v, with x
+    reset to y at every power-of-two step count; the sign of x - y, like the
+    unreduced "+ c", is invisible to gcd(q, v).  Lanes are assigned between
+    gcd blocks, so each lane's step count is a multiple of _GCD_BLOCK at the
+    start of a block.  A free lane takes a fresh walk (start 2, constant c
+    one past the composite's last) on the open composite with the fewest
+    walks: every open composite gets a lane, and once fewer composites than
+    lanes remain the spare lanes race further walks on them.  A lane whose
+    gcd is v (both factors met in one block) is dropped; a composite whose
+    walks collapse _COLLAPSE_LIMIT times, or that is still open after
+    _STEP_BUDGET steps, is left at 0.
+    """
+    squarings = k.bit_length() - 1
+    idle = len(vs)  # a free lane points here: a closed slot with v = 1
+    comp = np.array(vs + [1], dtype=np.int64)
+    is_open = np.arange(idle + 1) < idle
+    walks = np.zeros(idle + 1, dtype=np.int64)
+    collapses = [0] * idle
+    found = [0] * idle
+    owner = np.full(_LANES, idle)
+    v = np.ones(_LANES, dtype=np.int64)
+    inv = np.ones(_LANES)
+    c, x, y, q, t = (np.zeros(_LANES, dtype=np.int64) for _ in range(5))
+    for _ in range(0, _STEP_BUDGET, _GCD_BLOCK):
+        live = np.flatnonzero(is_open)
+        if not live.size:
+            break
+        lanes = np.flatnonzero(~is_open[owner])
+        if lanes.size:
+            order = live[np.argsort(walks[live], kind="stable")]
+            rank, pos = np.divmod(np.arange(lanes.size), live.size)
+            target = order[pos]
+            owner[lanes] = target
+            c[lanes] = walks[target] + rank + 1
+            walks += np.bincount(target, minlength=idle + 1)
+            v[lanes] = comp[target]
+            inv[lanes] = 1.0 / v[lanes]
+            x[lanes] = y[lanes] = 2
+            q[lanes] = 1
+            t[lanes] = 0
+        fresh = t == 0
+        at_end = ((t + _GCD_BLOCK) & (t + _GCD_BLOCK - 1)) == 0
+        for s in range(1, _GCD_BLOCK + 1):
+            for _ in range(squarings):
+                y = _mulmod(y, y, v, inv)
+            y += c
+            q = _mulmod(q, x - y, v, inv)
+            # within a block a step count t + s is a power of two only for
+            # t = 0 or at s = _GCD_BLOCK
+            if s == _GCD_BLOCK:
+                np.copyto(x, y, where=at_end)
+            elif s & (s - 1) == 0:
+                np.copyto(x, y, where=fresh)
+        t += _GCD_BLOCK
+        g = np.gcd(q, v)
+        hits = np.flatnonzero(g > 1)
+        for lane, i, d in zip(hits.tolist(), owner[hits].tolist(), g[hits].tolist()):
+            if not is_open[i]:
+                continue  # another lane closed it in this block
+            if d < vs[i]:
+                found[i] = d
+                is_open[i] = False
+            else:
+                collapses[i] += 1
+                is_open[i] = collapses[i] < _COLLAPSE_LIMIT
+                owner[lane] = idle
+    return found
+
+
+def _split_composites(vs: list[int], k: int) -> list[int]:
+    """A proper divisor of each composite in vs, every one checked by exact division.
+
+    The odd composites below _WORD_LIMIT, when there are at least
+    _MIN_BATCH of them, are split together by _walk_lanes; the rest, and
+    those it leaves open, by _rho_brent(., k).  A divisor that is not in
+    (1, v) or leaves a remainder raises ArithmeticError.
+    """
+    word = [i for i, v in enumerate(vs) if v < _WORD_LIMIT and v & 1]
+    ds = [0] * len(vs)
+    if len(word) >= _MIN_BATCH:
+        for i, d in zip(word, _walk_lanes([vs[i] for i in word], k)):
+            ds[i] = d
+    for i, v in enumerate(vs):
+        d = ds[i] or _rho_brent(v, k)
+        if not 1 < d < v or v % d:
+            raise ArithmeticError(f"splitter returned {d}, not a proper divisor of {v}")
+        ds[i] = d
+    return ds
+
+
+def _factor_residuals(vs: list[int], k: int, proven: int) -> list[tuple[int, int]]:
+    """(i, p) for every prime p of vs[i], once per power of p dividing it.
 
     Parts below `proven` are recorded as prime with no test: the caller
-    vouches that every divisor of c in (1, proven) is prime, as 4 does for
-    any c.  Larger parts go through is_probable_prime, and composites are
-    split by _rho_brent(., k), every factor checked by exact division.
+    vouches that every divisor of a residual in (1, proven) is prime, as 4
+    does for any v.  Larger parts go through is_probable_prime, squares are
+    split by isqrt, and each round's remaining composites are split together
+    by _split_composites(., k), whose parts make the next round.
     """
-    stack = [c]
-    while stack:
-        v = stack.pop()
-        if v == 1:
-            continue
-        if v < proven or is_probable_prime(v):
-            out[v] = out.get(v, 0) + 1
-            continue
-        r = isqrt(v)
-        if r * r == v:
-            stack += (r, r)
-            continue
-        d = _rho_brent(v, k)
-        if not 1 < d < v or v % d:
-            raise ArithmeticError(f"rho returned {d}, not a proper divisor of {v}")
-        stack += (d, v // d)
+    primes: list[tuple[int, int]] = []
+    todo = list(enumerate(vs))
+    while todo:
+        nxt, composite = [], []
+        for i, v in todo:
+            if v < proven:
+                if v > 1:
+                    primes.append((i, v))
+            elif is_probable_prime(v):
+                primes.append((i, v))
+            else:
+                r = isqrt(v)
+                if r * r == v:
+                    nxt += ((i, r), (i, r))
+                else:
+                    composite.append((i, v))
+        if composite:
+            for (i, v), d in zip(composite, _split_composites([v for _, v in composite], k)):
+                nxt += ((i, d), (i, v // d))
+        todo = nxt
+    return primes
 
 
 @dataclass(frozen=True, eq=True)
@@ -341,7 +477,8 @@ def _strip_and_split(n: int, lo: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     such prime p <= B (met through its root classes mod p, each division
     exact) are divided out, a residual has no prime factor <= B, so one
     below (B+1)^2 is prime with no test.  Larger residuals are tested by
-    is_probable_prime and the composites split by rho on y -> y^(2^(n+1)) + c.
+    is_probable_prime, and all composites of a round are split together by
+    _split_composites on y -> y^(2^(n+1)) + c (see _factor_residuals).
     Every residual prime must exceed B and be 1 mod 2^(n+1); anything else
     raises ArithmeticError.
     """
@@ -375,19 +512,11 @@ def _strip_and_split(n: int, lo: int, m: int) -> tuple[np.ndarray, np.ndarray]:
                 more_x.append(x)
                 more_p.append(p)
             vals[x - lo] = v
-    for x, v in enumerate(vals, lo):
-        if v == 1:
-            continue
-        if v < proven:
-            found = {v: 1}
-        else:
-            found = {}
-            _factor_into(v, found, step, proven)
-        for q, a in found.items():
-            if q <= bound or (q - 1) % step:
-                raise ArithmeticError(f"cofactor splitter produced inadmissible prime {q}")
-            more_x += [x] * a
-            more_p += [q] * a
+    for i, q in _factor_residuals(vals, step, proven):
+        if q <= bound or (q - 1) % step:
+            raise ArithmeticError(f"cofactor splitter produced inadmissible prime {q}")
+        more_x.append(lo + i)
+        more_p.append(q)
     twos = np.arange(lo | 1, m + 1, 2)
     hits = (m - first) // primes + 1  # members of each root class in [lo, m]
     rank = np.arange(int(hits.sum())) - np.repeat(np.cumsum(hits) - hits, hits)

@@ -92,11 +92,15 @@ class TestChain:
         _, second = run(capsys, "chain", "2", "--json")
         assert first == second
 
-    @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 64, 1100, 2000])
+    @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 64, 1100, 2000, 14000, 20000])
     def test_every_level_exits_cleanly(self, capsys, n):
         # 2 for a level below 1, else a full report: 0 only at n = 2
         code = main(["chain", str(n), "--json"])
         out, err = capsys.readouterr()
+        if n == 20000:
+            # trivial_through = n*2^n has more digits than Python prints: refused, not a traceback
+            assert (code, out) == (2, "") and err.startswith("infeasible:"), err
+            return
         assert code == (2 if n < 1 else 0 if n == 2 else 1), n
         if n >= 1:
             assert json.loads(out)["payload"]["steps"] and not err
@@ -193,9 +197,13 @@ class TestAnalytic:
         assert main(["analytic", "--check", check, "--n", n, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
 
-    def test_domain_error_exits_2(self, capsys):
-        # the progression bound is asserted only for n >= 2
-        assert main(["analytic", "--check", "bt", "--n", "1"]) == 2
+    @pytest.mark.parametrize("n", ["1", "31", "64", "20000"])
+    def test_domain_error_exits_2(self, capsys, n):
+        # the progression bound is asserted only for n >= 2, and from x = 4^(n+1)
+        # on, which lies past the sieve (and past 2^64 from n = 31)
+        assert main(["analytic", "--check", "bt", "--n", n]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.startswith("usage:") and err.count("\n") == 1
 
 
 class TestParser:

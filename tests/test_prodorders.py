@@ -6,6 +6,7 @@ import sys
 import threading
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from fermatprod import prodorders
@@ -22,7 +23,8 @@ from fermatprod.errors import (
 from fermatprod.prodorders import (
     ChainLink,
     _anchor_cap,
-    _factor_into,
+    _factor_residuals,
+    _split_composites,
     alpha_p,
     alpha_two,
     beta_p,
@@ -223,7 +225,22 @@ class TestStripAndSplit:
 
         monkeypatch.setattr(prodorders, "is_probable_prime", refuse)
         monkeypatch.setattr(prodorders, "_rho_brent", refuse)
+        monkeypatch.setattr(prodorders, "_split_composites", refuse)
         assert build_valuation_table(m, n) == want
+
+    def test_kernel_that_finds_nothing_falls_back_to_rho(self, monkeypatch, cold_engines):
+        # m = 3000, n = 2 leaves 58 word-size composites, one batch for the kernel
+        want = build_valuation_table(3000, 2)
+        cold_engines()
+        batches = []
+
+        def find_nothing(vs, k):
+            batches.append(len(vs))
+            return [0] * len(vs)
+
+        monkeypatch.setattr(prodorders, "_walk_lanes", find_nothing)
+        assert build_valuation_table(3000, 2) == want
+        assert batches == [58]
 
     def test_root_count_mismatch_raises(self, monkeypatch, cold_engines):
         real = prodorders.alpha_p
@@ -366,11 +383,73 @@ class TestCofactorMachinery:
             if v >= 1 << 64:
                 assert is_probable_prime(v) == sympy.isprime(v), v
 
-    def test_factor_into_matches_naive(self):
-        for v in (97, 6**4 + 1, 91 * 89, 2**4 * 3**3 * 1297, 10**12 + 39, 10007**2, 3 * 10007**2):
-            out = {}
-            _factor_into(v, out, 2, 4)
-            assert out == factorize_naive(v), v
+    def test_factor_residuals_matches_naive(self):
+        vs = [97, 6**4 + 1, 91 * 89, 2**4 * 3**3 * 1297, 10**12 + 39, 10007**2, 3 * 10007**2]
+        got = [Counter() for _ in vs]
+        for i, p in _factor_residuals(vs, 2, 4):
+            got[i][p] += 1
+        assert got == [Counter(factorize_naive(v)) for v in vs]
+
+    @staticmethod
+    def split_primes(rng, bits, step, count):
+        out = []
+        while len(out) < count:
+            p = rng.randrange(1 << (bits - 1), 1 << bits) // step * step + 1
+            if is_prime(p):
+                out.append(p)
+        return out
+
+    def test_split_composites_by_size(self, monkeypatch):
+        # 40 products of two split primes of 21-27 bits go to the kernel, in one
+        # batch; the inputs of 2^55 and more, and only they, go to rho
+        rng = random.Random("split-composites")
+        word = [
+            p * q
+            for bits in range(21, 28)
+            for p, q in zip(*[iter(self.split_primes(rng, bits, 8, 12))] * 2)
+        ][:40]
+        assert all(v < prodorders._WORD_LIMIT for v in word)
+        big = [(2**61 - 1) * 1000003, (2**61 - 1) * 65537, prodorders._WORD_LIMIT + 1]  # 33 | 2^55 + 1
+        vs = big[:1] + word[:20] + big[1:] + word[20:]
+        batches, rho = [], []
+        walk, brent = prodorders._walk_lanes, prodorders._rho_brent
+        monkeypatch.setattr(prodorders, "_walk_lanes", lambda vs, k: batches.append(vs) or walk(vs, k))
+        monkeypatch.setattr(prodorders, "_rho_brent", lambda v, k: rho.append(v) or brent(v, k))
+        ds = _split_composites(vs, 8)
+        assert all(1 < d < v and v % d == 0 for v, d in zip(vs, ds))
+        assert batches == [word] and sorted(rho) == sorted(big)
+
+    def test_small_batches_and_collapsing_walks_reach_rho(self):
+        # a batch below _MIN_BATCH skips the kernel; for composites this small
+        # every walk meets both factors in one gcd block and collapses
+        tiny = [15, 21, 35, 91 * 89, 3 * 5 * 7, 17 * 257] * 6
+        assert len(tiny) >= prodorders._MIN_BATCH
+        assert prodorders._walk_lanes(tiny, 2) == [0] * len(tiny)
+        for vs in (tiny, tiny[:3]):
+            ds = _split_composites(vs, 2)
+            assert all(1 < d < v and v % d == 0 for v, d in zip(vs, ds))
+
+    def test_mulmod_matches_python(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        top = (1 << 55) - 1
+        slack = 1 << 20
+
+        @st.composite
+        def lane(draw):
+            v = draw(st.one_of(st.integers(2, top), st.integers(top - 1000, top)))
+            edge = st.sampled_from([v + slack - 1, -(v + slack - 1), v - 1, 0])
+            operand = st.one_of(st.integers(-(v + slack) + 1, v + slack - 1), edge)
+            return v, draw(operand), draw(operand)
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(st.lists(lane(), min_size=1, max_size=16))
+        def check(lanes):
+            v, a, b = (np.array(col, dtype=np.int64) for col in zip(*lanes))
+            got = prodorders._mulmod(a, b, v, 1.0 / v).tolist()
+            assert got == [x * y % m for m, x, y in lanes]
+
+        check()
 
 
 class TestChainLinks:
