@@ -18,12 +18,14 @@ from .analytic import (
     pi_ap,
     theta_ap,
 )
+from .check import Check
 from .cyclotomic import (
     CongruenceSystem,
     check_prime_bound,
     counterexample_search,
     iter_realizable_systems,
     pigeonhole_witness,
+    prime_bound_search,
     single_entry_search,
 )
 from .ntcore import (
@@ -36,15 +38,14 @@ from .ntcore import (
 from .partitions import (
     Partition,
     big_n,
+    condition_witness,
     enumerate_partitions,
     extreme_partition,
     r_bound,
-    satisfies_condition,
     verify_minimality,
 )
 from .prodorders import (
     ChainLink,
-    ChainReport,
     ValuationTable,
     alpha_p,
     alpha_two,
@@ -62,9 +63,9 @@ from .prodorders import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Check",
     "CongruenceSystem",
     "ChainLink",
-    "ChainReport",
     "Partition",
     "RootSet",
     "ValuationTable",
@@ -79,6 +80,7 @@ __all__ = [
     "check_pi_bound",
     "check_prime_bound",
     "check_theta_window",
+    "condition_witness",
     "count_roots_upto",
     "counterexample_search",
     "enumerate_partitions",
@@ -94,10 +96,10 @@ __all__ = [
     "pi",
     "pi_ap",
     "pigeonhole_witness",
+    "prime_bound_search",
     "product_value",
     "r_bound",
     "roots_of_minus_one",
-    "satisfies_condition",
     "single_entry_search",
     "theta_ap",
     "verify_chain",

@@ -26,9 +26,13 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .errors import BeyondSieveError
+from .check import Check
+from .errors import BeyondSieveError, InfeasibleSizeError
 
 DEFAULT_SIEVE_LIMIT = 10_000_000
+# The largest limit primes_upto sieves: 0.5 GB of flags and 0.4 GB of primes
+# at 10^9.  verify-all --long and the sieve benchmark sieve 10^8.
+SIEVE_CAP = 10**9
 MARGIN_EPS = 1e-9
 
 
@@ -97,7 +101,10 @@ def primes_upto(limit: int) -> np.ndarray:
 
     Segmented sieve of Eratosthenes over odd numbers only, one byte per odd
     number, with the multiples of 3..13 pre-struck by the wheel pattern.
+    A limit above SIEVE_CAP raises InfeasibleSizeError before any allocation.
     """
+    if limit > SIEVE_CAP:
+        raise InfeasibleSizeError(f"sieve limit above SIEVE_CAP = {SIEVE_CAP}")
     if limit < 2:
         return np.array([], dtype=np.int64)
     flags = np.resize(_WHEEL, (limit + 1) // 2)
@@ -240,41 +247,25 @@ def exact_sum(terms: np.ndarray) -> float:
     return total / (1 << scale) if scale >= 0 else float(total << -scale)
 
 
-@dataclass(frozen=True)
-class BoundRecord:
-    x: int
-    lhs: float
-    rhs: float
-    margin: float
-    status: str  # "pass" | "ambiguous" | "fail"
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Sampled verification of one inequality; passed iff every sample passes."""
-
-    name: str
-    params: dict = field(compare=False)
-    records: tuple[BoundRecord, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.status == "pass" for r in self.records)
-
-
-def _record(x: int, lhs: float, rhs: float, margin: float) -> BoundRecord:
+def _record(x: int, lhs: float, rhs: float, margin: float) -> dict:
     if margin > MARGIN_EPS:
         status = "pass"
     elif margin < -MARGIN_EPS:
         status = "fail"
     else:
         status = "ambiguous"
-    return BoundRecord(x, lhs, rhs, margin, status)
+    return {"x": x, "lhs": lhs, "rhs": rhs, "margin": margin, "status": status}
+
+
+def _sampled(name: str, records: list[dict]) -> Check:
+    """Sampled verification of one inequality; passed iff every sample passes."""
+    passed = all(r["status"] == "pass" for r in records)
+    return Check(name, passed, {"records": records})
 
 
 def check_pi_bound(
     samples=(10**6, 10**7), sieve: SievedPrimes | None = None
-) -> BoundReport:
+) -> Check:
     """pi(x) <= 1.1 x / ln x for x >= 10^6."""
     records = []
     for x in samples:
@@ -283,7 +274,7 @@ def check_pi_bound(
         lhs = float(pi(x, sieve))
         rhs = 1.1 * x / math.log(x)
         records.append(_record(x, lhs, rhs, rhs - lhs))
-    return BoundReport("pi_bound", {"samples": tuple(samples)}, tuple(records))
+    return _sampled("pi_bound", records)
 
 
 def _grid(lo: int, hi: int, points: int) -> tuple[int, ...]:
@@ -293,7 +284,7 @@ def _grid(lo: int, hi: int, points: int) -> tuple[int, ...]:
 
 def check_bt_bound(
     n: int, samples=None, sieve: SievedPrimes | None = None
-) -> BoundReport:
+) -> Check:
     """Brun-Titchmarsh specialization pi(x; 2^(n+1), 1) <= 4x / (2^n ln x) for x >= 4^(n+1)."""
     if n < 2:
         raise ValueError(f"bound is asserted for n >= 2, got {n}")
@@ -312,12 +303,12 @@ def check_bt_bound(
         lhs = float(pi_ap(x, q, 1, sv))
         rhs = 4.0 * x / ((1 << n) * math.log(x))
         records.append(_record(x, lhs, rhs, rhs - lhs))
-    return BoundReport("bt_bound", {"n": n, "samples": tuple(samples)}, tuple(records))
+    return _sampled("bt_bound", records)
 
 
 def check_logsum_bound(
     a: int, x: int, sieve: SievedPrimes | None = None
-) -> BoundReport:
+) -> Check:
     """sum_{p <= x, p = a mod 8} ln p / p > 0.245 ln x - 3.15 for x >= 10^6, a in {1,3,5,7}."""
     if a not in (1, 3, 5, 7):
         raise ValueError(f"a must be an odd class mod 8, got {a}")
@@ -327,13 +318,12 @@ def check_logsum_bound(
     sel = ps.compress(hit).astype(np.float64)
     lhs = exact_sum(np.log(sel) / sel)
     rhs = 0.245 * math.log(x) - 3.15
-    rec = _record(x, lhs, rhs, lhs - rhs)
-    return BoundReport("logsum_bound", {"a": a, "x": x}, (rec,))
+    return _sampled("logsum_bound", [_record(x, lhs, rhs, lhs - rhs)])
 
 
 def check_theta_window(
     a: int, samples=(10**6, 3 * 10**6, 10**7), sieve: SievedPrimes | None = None
-) -> BoundReport:
+) -> Check:
     """|theta(x; 8, a) - x/4| < 0.024 x / ln x, spot-checked at desk scale."""
     if a not in (1, 3, 5, 7):
         raise ValueError(f"a must be an odd class mod 8, got {a}")
@@ -344,9 +334,7 @@ def check_theta_window(
         lhs = abs(theta_ap(x, 8, a, sieve) - x / 4.0)
         rhs = 0.024 * x / math.log(x)
         records.append(_record(x, lhs, rhs, rhs - lhs))
-    return BoundReport(
-        "theta_window", {"a": a, "samples": tuple(samples)}, tuple(records)
-    )
+    return _sampled("theta_window", records)
 
 
 def final_inequality_margin(m: int, n: int) -> tuple[float, float]:
@@ -355,12 +343,15 @@ def final_inequality_margin(m: int, n: int) -> tuple[float, float]:
     lhs = 3(0.245 ln m - 3.15) and
     rhs = 2.2 m/(m-1) + ((m+1)/(m-1)) ln 2 / 2^(n+1) + 8 (m+1)/(m-1);
     a contradiction (lhs > rhs) rules out every prime order exceeding
-    n*2^(n-1) once m is large enough.
+    n*2^(n-1) once m is large enough.  Both sides are floats, so m >= 2^1022,
+    where 2.2 m is no longer a finite float, raises InfeasibleSizeError.
     """
     if m <= 1:
         raise ValueError(f"need m > 1, got {m}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    if m >= 1 << 1022:
+        raise InfeasibleSizeError(f"m of {m.bit_length()} bits is past the float range, m < 2^1022")
     lhs = 3.0 * (0.245 * math.log(m) - 3.15)
     ratio = (m + 1) / (m - 1)
     rhs = 2.2 * m / (m - 1) + ratio * math.ldexp(math.log(2), -(n + 1)) + 8.0 * ratio

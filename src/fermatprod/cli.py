@@ -12,12 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import analytic, cyclotomic, partitions, prodorders
+from .check import Check
 from .errors import (
     BeyondSieveError,
     CertificateError,
@@ -28,27 +29,40 @@ from .errors import (
 SCHEMA = "fermatprod.report/1"
 
 
+# <int>[.<digits>][e<int>]: a decimal integer, optionally in scientific notation
+_SCALED_INT = re.compile(r"([+-]?)([0-9]+)(?:\.([0-9]+))?(?:[eE]([+-]?[0-9]+))?")
+# Python's default limit on the digits of an int converted from or to text
+_MAX_DIGITS = 4300
+
+
 def _scaled_int(text: str) -> int:
-    """Integer argument that also accepts scientific notation like 1e6."""
-    try:
-        return int(text)
-    except ValueError:
-        value = float(text)
-        if value != int(value):
-            raise argparse.ArgumentTypeError(f"not an integer: {text}")
-        return int(value)
+    """An integer argument, also written exactly in scientific notation, such as 1e6 or 2.5e3.
+
+    Any other text, or a value that is not a whole number, raises ValueError
+    (a usage error).  A value of more than _MAX_DIGITS digits raises
+    InfeasibleSizeError before it is built.
+    """
+    match = _SCALED_INT.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not an integer: {text}")
+    sign, whole, frac, exp = match.groups(default="")
+    # value = sign digits * 10^shift, with digits free of leading and trailing zeros
+    mantissa = whole + frac
+    digits = mantissa.rstrip("0")
+    shift = int(exp or "0") - len(frac) + len(mantissa) - len(digits)
+    digits = digits.lstrip("0")
+    if not digits:
+        return 0
+    if shift < 0:
+        raise ValueError(f"not an integer: {text}")
+    if len(digits) + shift > _MAX_DIGITS:
+        raise InfeasibleSizeError(f"an integer argument has more than {_MAX_DIGITS} digits")
+    return int(sign + digits) * 10**shift
 
 
-@dataclass
-class RunReport:
-    command: str
-    params: dict
-    passed: bool
-    payload: dict
-    wall_time_s: float | None = None
-
-
-def _render(report: RunReport, as_json: bool) -> str:
+def _render(
+    command: str, params: dict, check: Check, wall_time_s: float | None, as_json: bool
+) -> str:
     """The report as printed: canonical JSON, or one "key: value" line per field.
 
     An integer with more digits than Python converts to text (4300 by
@@ -58,25 +72,25 @@ def _render(report: RunReport, as_json: bool) -> str:
         if as_json:
             doc = {
                 "schema": SCHEMA,
-                "command": report.command,
-                "params": report.params,
-                "pass": report.passed,
-                "payload": report.payload,
+                "command": command,
+                "params": params,
+                "pass": check.passed,
+                "payload": check.detail,
                 "wall_time_s": None,  # omitted from JSON to keep output byte-stable
             }
             return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        lines = [f"command : {report.command}"]
-        lines += [f"  {key} = {val}" for key, val in sorted(report.params.items())]
-        lines += [f"{key}: {val}" for key, val in report.payload.items()]
-        status = "PASS" if report.passed else "FAIL"
-        took = f" ({report.wall_time_s:.3f}s)" if report.wall_time_s is not None else ""
+        lines = [f"command : {command}"]
+        lines += [f"  {key} = {val}" for key, val in sorted(params.items())]
+        lines += [f"{key}: {val}" for key, val in check.detail.items()]
+        status = "PASS" if check.passed else "FAIL"
+        took = f" ({wall_time_s:.3f}s)" if wall_time_s is not None else ""
         lines.append(f"result  : {status}{took}")
         return "\n".join(lines)
     except ValueError as err:
         raise InfeasibleSizeError(f"the report holds an integer too long to print: {err}") from err
 
 
-def _cmd_orders(args) -> RunReport:
+def _cmd_orders(args) -> tuple[dict, Check]:
     table = prodorders.build_valuation_table(args.m, args.n)
     q = args.q if args.q is not None else partitions.big_n(args.n)
     p_min, o_min = min(table.alpha.items(), key=lambda kv: (kv[1], kv[0]))
@@ -94,132 +108,82 @@ def _cmd_orders(args) -> RunReport:
     }
     if args.dump_alpha or args.m <= 50:
         payload["alpha"] = {str(p): a for p, a in sorted(table.alpha.items())}
-    return RunReport("orders", {"m": args.m, "n": args.n, "q": q}, True, payload)
+    return {"m": args.m, "n": args.n, "q": q}, Check("orders", True, payload)
 
 
-def _link_doc(link: prodorders.ChainLink) -> dict:
-    return {
-        "anchor": link.anchor,
-        "p": link.p,
-        "next_roots": list(link.next_roots),
-        "cover_hi": link.cover_hi,
-    }
+def _cmd_chain(args) -> tuple[dict, Check]:
+    return {"n": args.n}, prodorders.verify_chain(args.n)
 
 
-def _cmd_chain(args) -> RunReport:
-    rep = prodorders.verify_chain(args.n)
-    payload = {
-        "trivial_through": rep.trivial_through,
-        "links": [_link_doc(l) for l in rep.links],
-        "covered_through": rep.covered_through,
-        "gap": list(rep.gap) if rep.gap else None,
-        "order_bound_proved": rep.order_bound_proved,
-        "order_bound_needed": rep.order_bound_needed,
-        "bound_sufficient": rep.bound_sufficient,
-        "steps": list(rep.steps),
-    }
-    return RunReport("chain", {"n": args.n}, rep.passed, payload)
-
-
-def _cmd_partitions(args) -> RunReport:
+def _cmd_partitions(args) -> tuple[dict, Check]:
     extreme = partitions.extreme_partition(args.n)
-    report = partitions.satisfies_condition(extreme, args.n)
+    witness = partitions.condition_witness(extreme, args.n)
     payload = {
         "n": args.n,
         "forcing_total": partitions.big_n(args.n),
         "extreme_partition": list(extreme.parts),
         "extreme_total": extreme.total,
-        "condition_witness_r": report.witness_r,
+        "condition_witness_r": witness,
     }
-    passed = report.satisfied and report.witness_r == len(extreme)
+    passed = witness == len(extreme)
     if args.verify_minimality:
         minimal = partitions.verify_minimality(args.n)
         payload["minimality_verified"] = minimal
         passed = passed and minimal
-    return RunReport("partitions", {"n": args.n}, passed, payload)
+    return {"n": args.n}, Check("partitions", passed, payload)
 
 
-def _cmd_cyclotomic(args) -> RunReport:
+def _cmd_cyclotomic(args) -> tuple[dict, Check]:
     params = {
         "n": args.n,
         "p_limit": args.p_limit,
         "x_limit": args.x_limit,
         "single_x_limit": args.single_x_limit,
     }
-    payload: dict = {}
-    passed = True
     try:
-        counterexample = cyclotomic.counterexample_search(args.n, args.p_limit, args.x_limit)
-        systems = 0
-        for system in cyclotomic.iter_realizable_systems(args.n, args.p_limit, args.x_limit):
-            cyclotomic.check_prime_bound(system)
-            systems += 1
-        single = cyclotomic.single_entry_search(args.n, args.single_x_limit)
+        check = cyclotomic.prime_bound_search(**params)
     except CertificateError as err:
-        return RunReport("cyclotomic", params, False, {"error": str(err)})
-    payload["counterexample"] = (
-        None
-        if counterexample is None
-        else {"p": counterexample.p, "entries": list(map(list, counterexample.entries))}
-    )
-    payload["single_entry_counterexample"] = (
-        None
-        if single is None
-        else {"p": single.p, "entries": list(map(list, single.entries))}
-    )
-    payload["systems_certified"] = systems
-    passed = counterexample is None and single is None
-    return RunReport("cyclotomic", params, passed, payload)
+        check = Check("prime_bound_search", False, {"error": str(err)})
+    return params, check
 
 
-def _bound_report_doc(rep: analytic.BoundReport) -> dict:
-    return {
-        "name": rep.name,
-        "records": [
-            {"x": r.x, "lhs": r.lhs, "rhs": r.rhs, "margin": r.margin, "status": r.status}
-            for r in rep.records
-        ],
-    }
-
-
-def _cmd_analytic(args) -> RunReport:
+def _cmd_analytic(args) -> tuple[dict, Check]:
+    m, xs, limit = _scaled_int(args.m), [_scaled_int(x) for x in args.x], _scaled_int(args.limit)
     params = {"check": args.check}
     sieve = None
     if args.check in ("pi", "bt", "logsum", "theta"):
-        limit = args.limit
-        if args.x:
-            limit = max(limit, max(args.x))
+        limit = max([limit, *xs])
         sieve = analytic.get_sieve(limit)
         params["limit"] = limit
     default_samples = tuple(sorted({10**6, sieve.limit})) if sieve else ()
     if args.check == "pi":
-        rep = analytic.check_pi_bound(tuple(args.x) or default_samples, sieve)
+        check = analytic.check_pi_bound(tuple(xs) or default_samples, sieve)
     elif args.check == "bt":
-        rep = analytic.check_bt_bound(args.n, tuple(args.x) or None, sieve)
+        check = analytic.check_bt_bound(args.n, tuple(xs) or None, sieve)
     elif args.check == "logsum":
-        rep = analytic.check_logsum_bound(args.a, args.x[0] if args.x else 10**6, sieve)
+        check = analytic.check_logsum_bound(args.a, xs[0] if xs else 10**6, sieve)
     elif args.check == "theta":
-        rep = analytic.check_theta_window(args.a, tuple(args.x) or default_samples, sieve)
+        check = analytic.check_theta_window(args.a, tuple(xs) or default_samples, sieve)
     elif args.check == "margin":
-        lhs, rhs = analytic.final_inequality_margin(args.m, args.n)
-        payload = {"m": args.m, "n": args.n, "lhs": lhs, "rhs": rhs, "contradiction": lhs > rhs}
-        return RunReport("analytic", params | {"m": args.m, "n": args.n}, True, payload)
+        lhs, rhs = analytic.final_inequality_margin(m, args.n)
+        payload = {"m": m, "n": args.n, "lhs": lhs, "rhs": rhs, "contradiction": lhs > rhs}
+        return params | {"m": m, "n": args.n}, Check("margin", True, payload)
     else:  # crossing
         m_star = analytic.final_inequality_crossing(args.n)
         payload = {"n": args.n, "crossing": m_star, "within_10^12": m_star <= 10**12}
-        return RunReport("analytic", params | {"n": args.n}, m_star <= 10**12, payload)
-    return RunReport("analytic", params, rep.passed, _bound_report_doc(rep))
+        return params | {"n": args.n}, Check("crossing", m_star <= 10**12, payload)
+    return params, Check(check.name, check.passed, {"name": check.name} | check.detail)
 
 
-def _cmd_verify_all(args) -> RunReport:
-    checks: list[tuple[str, bool, str]] = []
+def _cmd_verify_all(args) -> tuple[dict, Check]:
+    checks: list[dict] = []
 
     def run(name: str, fn) -> None:
         try:
             ok, summary = fn()
         except Exception as err:  # a crash is a failed check, not a crashed CLI
             ok, summary = False, f"{type(err).__name__}: {err}"
-        checks.append((name, ok, summary))
+        checks.append({"name": name, "pass": ok, "summary": summary})
 
     def partitions_check():
         top = 5 if args.long else 4
@@ -229,8 +193,8 @@ def _cmd_verify_all(args) -> RunReport:
         return True, f"minimality verified for n=2..{top}"
 
     def chain_check():
-        rep = prodorders.verify_chain(2)
-        return rep.passed, f"covered through {rep.covered_through}"
+        check = prodorders.verify_chain(2)
+        return check.passed, f"covered through {check.detail['covered_through']}"
 
     def orders_check():
         table = prodorders.build_valuation_table(3, 1)
@@ -265,13 +229,13 @@ def _cmd_verify_all(args) -> RunReport:
         return True, f"alpha_p matches repeated division for m <= {m_top}, n <= 2"
 
     def cyclotomic_check():
-        for n in (1, 2):
-            if cyclotomic.counterexample_search(n, 300, 200) is not None:
+        # the single-entry search runs at n = 2 only: a limit of 0 searches no x
+        for n, single_x_limit in ((1, 0), (2, 1000)):
+            found = cyclotomic.prime_bound_search(n, 300, 200, single_x_limit).detail
+            if found["counterexample"] is not None:
                 return False, f"counterexample found at n={n}"
-            for system in cyclotomic.iter_realizable_systems(n, 300, 200):
-                cyclotomic.check_prime_bound(system)
-        if cyclotomic.single_entry_search(2, 1000) is not None:
-            return False, "single-entry counterexample found"
+            if found["single_entry_counterexample"] is not None:
+                return False, "single-entry counterexample found"
         return True, "no violation; all certificates verified"
 
     def analytic_check():
@@ -290,8 +254,8 @@ def _cmd_verify_all(args) -> RunReport:
         return crossing <= 10**12, f"crossing at m={crossing}"
 
     def ingredient_check():
-        rep = prodorders.bound_checks(200, 2)
-        return rep.passed, f"{len(rep.records)} ingredient bounds hold at m=200"
+        check = prodorders.bound_checks(200, 2)
+        return check.passed, f"{len(check.detail['records'])} ingredient bounds hold at m=200"
 
     run("partition-minimality", partitions_check)
     run("quartic-chain", chain_check)
@@ -301,8 +265,8 @@ def _cmd_verify_all(args) -> RunReport:
     run("analytic-bounds", analytic_check)
     run("ingredient-bounds", ingredient_check)
 
-    payload = {"checks": [{"name": n, "pass": ok, "summary": s} for n, ok, s in checks]}
-    return RunReport("verify-all", {"long": args.long}, all(ok for _, ok, _ in checks), payload)
+    passed = all(c["pass"] for c in checks)
+    return {"long": args.long}, Check("verify-all", passed, {"checks": checks})
 
 
 @lru_cache(maxsize=1)
@@ -349,9 +313,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_ana.add_argument("--a", type=int, default=1)
     p_ana.add_argument("--n", type=int, default=2)
-    p_ana.add_argument("--m", type=_scaled_int, default=10**12)
-    p_ana.add_argument("--x", type=_scaled_int, action="append", default=[])
-    p_ana.add_argument("--limit", type=_scaled_int, default=analytic.DEFAULT_SIEVE_LIMIT)
+    # parsed by _cmd_analytic, so that a bad value is one "usage:" or "infeasible:" line
+    p_ana.add_argument("--m", default=str(10**12))
+    p_ana.add_argument("--x", action="append", default=[])
+    p_ana.add_argument("--limit", default=str(analytic.DEFAULT_SIEVE_LIMIT))
     p_ana.set_defaults(fn=_cmd_analytic)
 
     p_all = sub.add_parser("verify-all", parents=[common], help="run every default-scale check")
@@ -367,21 +332,20 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        report = args.fn(args)
-        report.wall_time_s = time.perf_counter() - start
-        text = _render(report, args.json)
+        params, check = args.fn(args)
+        text = _render(args.command, params, check, time.perf_counter() - start, args.json)
     except InfeasibleSizeError as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return 2
     except InternalRefusalError as err:
         print(f"internal refusal: {err}", file=sys.stderr)
-        report = RunReport(args.command, {}, False, {"internal_refusal": str(err)})
-        text = _render(report, args.json)
+        check = Check(args.command, False, {"internal_refusal": str(err)})
+        text = _render(args.command, {}, check, None, args.json)
     except (BeyondSieveError, ValueError) as err:
         print(f"usage: {err}", file=sys.stderr)
         return 2
     print(text)
-    return 0 if report.passed else 1
+    return 0 if check.passed else 1
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from .check import Check
 from .errors import (
     CertificateError,
     HypothesisUnmetError,
@@ -139,15 +140,6 @@ class BoundCertificate:
     t: int | None = None
 
 
-@dataclass(frozen=True)
-class PrimeBoundReport:
-    holds: bool
-    p: int
-    x_max: int
-    bound: int
-    certificate: BoundCertificate
-
-
 def _min_level(r: int, n: int) -> int:
     """Smallest m with r >= r_bound(m, n)."""
     return max(0, n - (r - 1).bit_length())
@@ -187,8 +179,8 @@ def _binomial_norm(a: int, b: int, level: int, tp: int) -> int:
     return (a**half + b**half) ** (1 << (level - j))
 
 
-def check_prime_bound(sys: CongruenceSystem) -> PrimeBoundReport:
-    """Verify p <= 2(max x_i + 1) and build the numeric certificate for it.
+def check_prime_bound(sys: CongruenceSystem) -> BoundCertificate:
+    """Verify p <= 2(max x_i + 1) and return the numeric certificate for it.
 
     Requires total_order >= big_n(n).  Raises CertificateError if the
     certificate arithmetic fails, which would indicate a bug, not a
@@ -245,7 +237,7 @@ def check_prime_bound(sys: CongruenceSystem) -> PrimeBoundReport:
     if not holds:
         # both branches above would have raised first
         raise CertificateError("certificate verified yet p > 2(x+1)")
-    return PrimeBoundReport(holds, p, x, 2 * (x + 1), cert)
+    return cert
 
 
 def _split_primes(n: int, limit: int) -> Iterator[int]:
@@ -356,3 +348,29 @@ def single_entry_search(n: int, x_limit: int) -> CongruenceSystem | None:
             if v % p == 0 and v % p**total == 0 and p > 2 * (x + 1):
                 return CongruenceSystem.make(n, p, ((x, total),))
     return None
+
+
+def _system_doc(system: CongruenceSystem | None) -> dict | None:
+    return None if system is None else {"p": system.p, "entries": list(map(list, system.entries))}
+
+
+def prime_bound_search(n: int, p_limit: int, x_limit: int, single_x_limit: int) -> Check:
+    """Search for a violation of p <= 2(max x_i + 1) and certify every realizable system.
+
+    Passes when neither counterexample_search(n, p_limit, x_limit) nor
+    single_entry_search(n, single_x_limit) finds one.  Every system of
+    iter_realizable_systems gets its certificate from check_prime_bound,
+    which raises CertificateError if one fails.
+    """
+    counterexample = counterexample_search(n, p_limit, x_limit)
+    systems = 0
+    for system in iter_realizable_systems(n, p_limit, x_limit):
+        check_prime_bound(system)
+        systems += 1
+    single = single_entry_search(n, single_x_limit)
+    detail = {
+        "counterexample": _system_doc(counterexample),
+        "single_entry_counterexample": _system_doc(single),
+        "systems_certified": systems,
+    }
+    return Check("prime_bound_search", counterexample is None and single is None, detail)

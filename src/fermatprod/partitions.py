@@ -55,20 +55,6 @@ class Partition:
         return self.parts[i]
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    """Outcome of the threshold condition on a partition.
-
-    thresholds[i] is the required index bound for part i+1, recorded for
-    every examined index (all of them when unsatisfied, up to the witness
-    otherwise).  witness_r is the smallest satisfying index, 1-based.
-    """
-
-    satisfied: bool
-    witness_r: int | None
-    thresholds: tuple[int, ...]
-
-
 def r_bound(m: int, n: int) -> int:
     """Minimal root count R(m, n) = floor(2^(n-m-1)) + 1, which is 1 for m >= n."""
     if m < 0 or n < 1:
@@ -85,21 +71,18 @@ def big_n(n: int) -> int:
     return n * (1 << (n - 1)) + 1
 
 
-def satisfies_condition(parts: Iterable[int], n: int) -> ConditionReport:
-    """Check r >= r_bound(floor(log2 k_r), n) for some index r.
+def condition_witness(parts: Iterable[int], n: int) -> int | None:
+    """The smallest index r with r >= r_bound(floor(log2 k_r), n), 1-based, or None.
 
-    Accepts a Partition or any non-increasing sequence of positive parts.
-    The witness is the smallest satisfying r.
+    Accepts a Partition or any non-increasing sequence of positive parts;
+    None means the partition does not satisfy the condition.
     """
     seq = tuple(parts)
     Partition(seq)  # validate shape
-    thresholds = []
     for r, k in enumerate(seq, start=1):
-        thr = r_bound(k.bit_length() - 1, n)
-        thresholds.append(thr)
-        if r >= thr:
-            return ConditionReport(True, r, tuple(thresholds))
-    return ConditionReport(False, None, tuple(thresholds))
+        if r >= r_bound(k.bit_length() - 1, n):
+            return r
+    return None
 
 
 def extreme_partition(n: int) -> Partition:
@@ -221,5 +204,5 @@ def verify_minimality(n: int) -> bool:
         and tight
         and r_bound(0, n) == len(caps) + 1
         and sum(caps) == big_n(n) - 1
-        and not satisfies_condition(caps, n).satisfied
+        and condition_witness(caps, n) is None
     )

@@ -37,6 +37,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .analytic import final_inequality_crossing, primes_upto
+from .check import Check
 from .errors import (
     AnchorNotPrimeError,
     AnchorParityError,
@@ -710,26 +711,7 @@ def _next_link(n: int, frontier: int, cap: int) -> ChainLink | None:
     return None
 
 
-@dataclass(frozen=True)
-class ChainReport:
-    """The level-n chain; steps are {"name", "pass", "detail"} dicts in proof order."""
-
-    n: int
-    trivial_through: int
-    links: tuple[ChainLink, ...]
-    covered_through: int
-    gap: tuple[int, int] | None
-    order_bound_proved: int
-    order_bound_needed: int
-    bound_sufficient: bool
-    steps: tuple[dict, ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.gap is None and self.bound_sufficient and all(s["pass"] for s in self.steps)
-
-
-def verify_chain(n: int) -> ChainReport:
+def verify_chain(n: int) -> Check:
     """Verify that every P(m, n) has a prime of order at most n*2^(n-1).
 
     The trivial prefix m <= n*2^n needs no link: ord_2(P(m, n)) = ceil(m/2)
@@ -743,6 +725,8 @@ def verify_chain(n: int) -> ChainReport:
     when it has no gap, its bound 2^n is at most n*2^(n-1), and the analytic
     crossing is at most min(10^12, covered_through + 1), so that the closing
     inequality holds at every larger m.  At n = 2 the anchors are 6 and 1302.
+    The Check's detail holds the links, the coverage, both order bounds and
+    the steps, {"name", "pass", "detail"} dicts in proof order.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -750,22 +734,23 @@ def verify_chain(n: int) -> ChainReport:
     needed = n << (n - 1)
     cap = _anchor_cap(n)
     frontier = n << n  # ceil(m/2) <= n*2^(n-1) iff m <= n*2^n
-    links: list[ChainLink] = []
+    links: list[dict] = []
     steps = []
     gap = None
     # the trivial prefix may already pass the cap (n = 4, 5); one link can still carry it far
     while not links or frontier < cap:
         link = _next_link(n, frontier, cap)
         if link is None:
-            gap = (frontier + 1, frontier + 1)
+            gap = [frontier + 1, frontier + 1]
             break
         detail = {"p": link.p, "next_roots": list(link.next_roots), "cover_hi": link.cover_hi}
         ok = link.anchor <= frontier + 1 and link.cover_hi > frontier
         steps.append({"name": f"link_anchor_{link.anchor}", "pass": ok, "detail": detail})
-        links.append(link)
+        links.append({"anchor": link.anchor, "p": link.p, "next_roots": list(link.next_roots),
+                      "cover_hi": link.cover_hi})
         frontier = link.cover_hi
 
-    first = links[0].anchor if links else min(n << n, cap) + 1
+    first = links[0]["anchor"] if links else min(n << n, cap) + 1
     prod, ord2 = 1, []
     for m in range(1, first):
         prod *= m**e + 1
@@ -778,32 +763,24 @@ def verify_chain(n: int) -> ChainReport:
     handoff_ok = crossing is not None and crossing <= min(10**12, frontier + 1)
     detail = {"crossing": crossing, "chain_cover_hi": frontier}
     steps.append({"name": "asymptotic_handoff", "pass": handoff_ok, "detail": detail})
-    return ChainReport(n, n << n, tuple(links), frontier, gap, e, needed, e <= needed, tuple(steps))
+    payload = {
+        "trivial_through": n << n,
+        "links": links,
+        "covered_through": frontier,
+        "gap": gap,
+        "order_bound_proved": e,
+        "order_bound_needed": needed,
+        "bound_sufficient": e <= needed,
+        "steps": steps,
+    }
+    passed = gap is None and e <= needed and all(s["pass"] for s in steps)
+    return Check("chain", passed, payload)
 
 
 # --- ingredient bounds -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundCheckRecord:
-    p: int
-    kind: str
-    ok: bool
-    margin: float
-
-
-@dataclass(frozen=True)
-class BoundCheckReport:
-    m: int
-    n: int
-    records: tuple[BoundCheckRecord, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.ok for r in self.records)
-
-
-def bound_checks(m: int, n: int) -> BoundCheckReport:
+def bound_checks(m: int, n: int) -> Check:
     """Check the three ingredient bounds at every prime p <= 2(m+1).
 
     * valuation_gap (split p <= m): alpha_p/2^n - beta_p <= ln(m^(2^n)+1)/ln p,
@@ -812,6 +789,7 @@ def bound_checks(m: int, n: int) -> BoundCheckReport:
     * factorial_floor (p <= m): beta_p >= (m-1)/(p-1) - 2 ln m / ln p.
 
     These are theorems; a failing record signals an implementation bug.
+    The Check's detail lists one {"p", "kind", "ok", "margin"} record per test.
     """
     if m < 2 or n < 1:
         raise ValueError(f"need m >= 2 and n >= 1, got m={m}, n={n}")
@@ -826,19 +804,17 @@ def bound_checks(m: int, n: int) -> BoundCheckReport:
         if p <= m:
             b = beta_p(m, p)
             rhs = (m - 1) / (p - 1) - 2.0 * math.log(m) / math.log(p)
-            records.append(
-                BoundCheckRecord(p, "factorial_floor", b >= rhs, b - rhs)
-            )
+            records.append({"p": p, "kind": "factorial_floor", "ok": b >= rhs, "margin": b - rhs})
             if p > 2 and p % step == 1:
                 a = alpha_p(m, n, p)
                 diff = a - e * b
                 ok = diff <= 0 or p**diff <= vmax**e
                 margin = log_vmax / math.log(p) - (a / e - b)
-                records.append(BoundCheckRecord(p, "valuation_gap", ok, margin))
+                records.append({"p": p, "kind": "valuation_gap", "ok": ok, "margin": margin})
         elif p > 2:
             a = alpha_p(m, n, p) if p % step == 1 else 0
             limit = 1 << (2 * n)
             records.append(
-                BoundCheckRecord(p, "large_prime_order", a < limit, float(limit - a))
+                {"p": p, "kind": "large_prime_order", "ok": a < limit, "margin": float(limit - a)}
             )
-    return BoundCheckReport(m, n, tuple(records))
+    return Check("bound_checks", all(r["ok"] for r in records), {"records": records})

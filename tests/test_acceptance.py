@@ -181,8 +181,7 @@ def test_criterion_08_adversarial_prime_bound_search():
         if found is not None:
             violation = found
         for system in iter_realizable_systems(n, 1000, 500):
-            rep = check_prime_bound(system)
-            cert = rep.certificate
+            cert = check_prime_bound(system)
             assert cert.norm_value % cert.prime_power == 0
             assert cert.prime_power <= cert.norm_value <= cert.norm_limit
             certified += 1
@@ -196,13 +195,13 @@ def test_criterion_09_analytic_spot_checks():
     start = time.perf_counter()
     sieve = get_sieve(10**7)
     pi_rep = check_pi_bound((10**6, 10**7), sieve)
-    pi_exact = pi_rep.records[0].lhs == 78498
+    pi_exact = pi_rep.detail["records"][0]["lhs"] == 78498
     bt_ok = all(check_bt_bound(n, None, sieve).passed for n in (2, 3))
     logsum_ok = True
     theta_ok = True
     for a in (1, 3, 5, 7):
         rep = check_logsum_bound(a, 10**6, sieve)
-        logsum_ok = logsum_ok and rep.passed and rep.records[0].margin > 1e-9
+        logsum_ok = logsum_ok and rep.passed and rep.detail["records"][0]["margin"] > 1e-9
         theta_ok = theta_ok and check_theta_window(a, (10**6, 10**7), sieve).passed
     elapsed = time.perf_counter() - start
     ok = pi_rep.passed and pi_exact and bt_ok and logsum_ok and theta_ok and elapsed < 30.0

@@ -24,7 +24,7 @@ from fermatprod.analytic import (
     primes_upto,
     theta_ap,
 )
-from fermatprod.errors import BeyondSieveError
+from fermatprod.errors import BeyondSieveError, InfeasibleSizeError
 from oracles import logsum_by_fsum, pi_ap_by_reduction, segmented_primes, theta_ap_by_fsum
 
 LIMIT = 10**6
@@ -115,6 +115,15 @@ class TestSieves:
         with pytest.raises(BeyondSieveError):
             pi(LIMIT + 1, SIEVE)
 
+    @pytest.mark.parametrize("limit", [analytic.SIEVE_CAP + 1, 10**400])
+    def test_cap_refuses_before_allocating(self, limit):
+        # only limits above the cap: a sieve near it takes about 0.9 GB
+        assert analytic.SIEVE_CAP >= 10**8  # verify-all --long sieves 10^8
+        with pytest.raises(InfeasibleSizeError):
+            primes_upto(limit)
+        with pytest.raises(InfeasibleSizeError):
+            get_sieve(limit)
+
 
 class TestProgressions:
     def test_pi_ap_small(self):
@@ -168,7 +177,7 @@ class TestAgainstReduction:
         rng = random.Random(limit)
         for x in sample_points(rng, sieve, 10**6):
             for a in (1, 3, 5, 7):
-                lhs = check_logsum_bound(a, x, sieve).records[0].lhs
+                lhs = check_logsum_bound(a, x, sieve).detail["records"][0]["lhs"]
                 assert lhs == logsum_by_fsum(a, x, sieve.primes), (x, a)
 
     def test_residue_cache(self):
@@ -333,8 +342,8 @@ class TestBoundChecks:
     def test_pi_bound(self):
         rep = check_pi_bound((10**6,), SIEVE)
         assert rep.passed
-        rec = rep.records[0]
-        assert rec.lhs == 78498 and rec.rhs == pytest.approx(1.1 * 10**6 / math.log(10**6))
+        rec = rep.detail["records"][0]
+        assert rec["lhs"] == 78498 and rec["rhs"] == pytest.approx(1.1 * 10**6 / math.log(10**6))
 
     def test_pi_bound_rejects_small_samples(self):
         with pytest.raises(ValueError):
@@ -343,9 +352,9 @@ class TestBoundChecks:
     def test_bt_bound_boundary(self):
         rep = check_bt_bound(2, (64, 10**4, 10**6), SIEVE)
         assert rep.passed
-        first = rep.records[0]
-        assert first.lhs == 2  # 17 and 41 are the only hits up to 64
-        assert first.rhs == pytest.approx(64 / math.log(64))
+        first = rep.detail["records"][0]
+        assert first["lhs"] == 2  # 17 and 41 are the only hits up to 64
+        assert first["rhs"] == pytest.approx(64 / math.log(64))
 
     def test_bt_bound_various_levels(self):
         for n in (2, 3):
@@ -355,11 +364,11 @@ class TestBoundChecks:
         for a in (1, 3, 5, 7):
             rep = check_logsum_bound(a, 10**6, SIEVE)
             assert rep.passed
-            assert rep.records[0].margin > 1e-9
+            assert rep.detail["records"][0]["margin"] > 1e-9
 
     def test_logsum_rhs_value(self):
         rep = check_logsum_bound(3, 10**6, SIEVE)
-        assert rep.records[0].rhs == pytest.approx(0.245 * math.log(10**6) - 3.15)
+        assert rep.detail["records"][0]["rhs"] == pytest.approx(0.245 * math.log(10**6) - 3.15)
 
     def test_theta_window(self):
         for a in (1, 3, 5, 7):
@@ -376,6 +385,13 @@ class TestFinalInequality:
         assert lhs == pytest.approx(10.8588, abs=1e-3)
         assert rhs == pytest.approx(10.2866, abs=1e-3)
         assert lhs > rhs
+
+    def test_refuses_m_past_the_float_range(self):
+        lhs, rhs = final_inequality_margin((1 << 1022) - 1, 2)
+        assert math.isfinite(lhs) and math.isfinite(rhs) and lhs > rhs
+        for m in (1 << 1022, 10**400):
+            with pytest.raises(InfeasibleSizeError):
+                final_inequality_margin(m, 2)
 
     def test_rhs_limit(self):
         for n in (2, 3, 6):

@@ -197,6 +197,42 @@ class TestAnalytic:
         assert main(["analytic", "--check", check, "--n", n, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["pass"] is True
 
+    @pytest.mark.parametrize(
+        "check,option,value,kind",
+        [
+            ("margin", "--m", "inf", "usage:"),
+            ("margin", "--m", "-inf", "usage:"),
+            ("margin", "--m", "nan", "usage:"),
+            ("margin", "--m", "1.0000000000000001", "usage:"),
+            ("margin", "--m", "1e-3", "usage:"),
+            ("margin", "--m", "3/2", "usage:"),
+            ("margin", "--m", "10/2", "usage:"),
+            ("crossing", "--m", "inf", "usage:"),  # parsed whichever check runs
+            ("pi", "--x", "2.5", "usage:"),
+            ("pi", "--limit", "1e7.5", "usage:"),
+            ("margin", "--m", "1e4300", "infeasible:"),  # 4301 digits, never built
+            ("margin", "--m", "9" * 4301, "infeasible:"),
+            ("margin", "--m", "1" * 400, "infeasible:"),  # past the float range
+            ("pi", "--x", "1" * 400, "infeasible:"),  # past SIEVE_CAP
+            ("pi", "--limit", "2e9", "infeasible:"),
+        ],
+        ids=lambda v: v if len(v) < 20 else f"{len(v)}-digits",
+    )
+    def test_bad_integer_argument_exits_2(self, capsys, check, option, value, kind):
+        assert main(["analytic", "--check", check, f"{option}={value}", "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.startswith(kind) and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [("1e23", 10**23), ("2.5e3", 2500), ("1.50e2", 150), ("120e-1", 12), ("0e9", 0), ("-7", -7)],
+    )
+    def test_scientific_notation_is_exact(self, capsys, text, value):
+        assert cli._scaled_int(text) == value
+        if value > 1:
+            assert main(["analytic", "--check", "margin", "--m", text, "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["params"]["m"] == value
+
     @pytest.mark.parametrize("n", ["1", "31", "64", "20000"])
     def test_domain_error_exits_2(self, capsys, n):
         # the progression bound is asserted only for n >= 2, and from x = 4^(n+1)

@@ -196,25 +196,24 @@ class TestPrimeBound:
     def test_norm_branch_example(self):
         x1 = hensel_lift(2, 17, 2, 3)
         s = CongruenceSystem.make(2, 17, ((x1, 3), (2, 1), (8, 1)))
-        rep = check_prime_bound(s)
-        assert rep.holds and rep.p == 17 and rep.bound == 2 * (x1 + 1)
-        cert = rep.certificate
+        cert = check_prime_bound(s)
+        # at m = 0 the norm limit is the bound 2(x + 1) itself
         assert cert.branch == "norm" and cert.m == 0 and cert.r == 3
+        assert cert.norm_limit == 2 * (x1 + 1)
         assert cert.norm_value % cert.prime_power == 0
         assert cert.prime_power <= cert.norm_value <= cert.norm_limit
 
     def test_order_branch_example(self):
         s = CongruenceSystem.make(1, 5, ((7, 2),))
-        rep = check_prime_bound(s)
-        assert rep.holds and rep.certificate.branch == "order"
-        assert rep.certificate.prime_power == 25 and rep.certificate.norm_value == 50
+        cert = check_prime_bound(s)
+        assert cert.branch == "order"
+        assert cert.prime_power == 25 and cert.norm_value == 50
 
     @pytest.mark.parametrize("entries,tp", [(((2, 1), (7, 1)), 0), (((2, 1), (3, 1)), 1)])
     def test_norm_branch_at_rational_units(self, entries, tp):
         # 7 = 2 (mod 5) shares 2's root class, so w = 1; 3 = -2 is the other, so w = -1
-        rep = check_prime_bound(CongruenceSystem.make(1, 5, entries))
-        cert = rep.certificate
-        assert rep.holds and (cert.branch, cert.m, cert.t >> 1) == ("norm", 0, tp)
+        cert = check_prime_bound(CongruenceSystem.make(1, 5, entries))
+        assert (cert.branch, cert.m, cert.t >> 1) == ("norm", 0, tp)
         assert cert.prime_power == cert.norm_value == 5
 
     def test_hypothesis_required(self):
@@ -226,9 +225,7 @@ class TestPrimeBound:
         checked = 0
         for n in (1, 2):
             for s in iter_realizable_systems(n, 300, 200):
-                rep = check_prime_bound(s)
-                cert = rep.certificate
-                assert rep.holds
+                cert = check_prime_bound(s)
                 assert cert.prime_power <= cert.norm_value <= cert.norm_limit
                 if cert.branch == "norm":
                     m = cert.m
@@ -250,9 +247,8 @@ class TestPrimeBound:
         # live at m = 0; the chain must still verify for every one
         count = 0
         for s in iter_realizable_systems(3, 400, 3000):
-            rep = check_prime_bound(s)
-            cert = rep.certificate
-            assert rep.holds and cert.branch == "norm" and cert.m == 0
+            cert = check_prime_bound(s)
+            assert cert.branch == "norm" and cert.m == 0
             assert cert.prime_power <= cert.norm_value <= cert.norm_limit
             count += 1
         assert count > 10
@@ -290,9 +286,7 @@ class TestPrimeBound:
         seen = set()
         for entries, branch, m in cases:
             s = CongruenceSystem.make(n, p, entries)
-            rep = check_prime_bound(s)
-            cert = rep.certificate
-            assert rep.holds, entries
+            cert = check_prime_bound(s)
             assert (cert.branch, cert.m) == (branch, m), (entries, cert)
             assert cert.norm_value % cert.prime_power == 0
             assert cert.prime_power <= cert.norm_value <= cert.norm_limit

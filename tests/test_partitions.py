@@ -8,10 +8,10 @@ from fermatprod.partitions import (
     PARTITION_MAX_N,
     Partition,
     big_n,
+    condition_witness,
     enumerate_partitions,
     extreme_partition,
     r_bound,
-    satisfies_condition,
     verify_minimality,
 )
 from oracles import minimality_by_enumeration
@@ -70,35 +70,34 @@ class TestCondition:
     def test_extreme_satisfies_only_at_last(self):
         for n in range(1, 7):
             ep = extreme_partition(n)
-            rep = satisfies_condition(ep, n)
-            assert rep.satisfied and rep.witness_r == len(ep)
+            assert condition_witness(ep, n) == len(ep)
             trunc = ep.parts[:-1]
-            assert not satisfies_condition(trunc, n).satisfied
+            assert condition_witness(trunc, n) is None
 
     def test_known_examples(self):
-        rep = satisfies_condition([7, 3, 1, 1, 1], 3)
-        assert rep.satisfied and rep.witness_r == 5
-        assert not satisfies_condition([7, 3, 1, 1], 3).satisfied
-        rep = satisfies_condition([13], 3)
-        assert rep.satisfied and rep.witness_r == 1
+        assert condition_witness([7, 3, 1, 1, 1], 3) == 5
+        assert condition_witness([7, 3, 1, 1], 3) is None
+        assert condition_witness([13], 3) == 1
 
     def test_thresholds_recorded(self):
-        rep = satisfies_condition([7, 3, 1, 1], 3)
-        # floor(log2) = 2, 1, 0, 0 -> thresholds r_bound(m, 3) = 2, 3, 5, 5
-        assert rep.thresholds == (2, 3, 5, 5)
+        # floor(log2) = 2, 1, 0, 0 -> thresholds r_bound(m, 3) = 2, 3, 5, 5,
+        # each above its index, so no index is a witness
+        parts = [7, 3, 1, 1]
+        assert [r_bound(k.bit_length() - 1, 3) for k in parts] == [2, 3, 5, 5]
+        assert condition_witness(parts, 3) is None
 
     def test_appending_ones_never_unsatisfies(self):
         for n in (2, 3):
             for part in enumerate_partitions(big_n(n)):
-                if satisfies_condition(part, n).satisfied:
+                if condition_witness(part, n) is not None:
                     extended = part.parts + (1,) * 3
-                    assert satisfies_condition(extended, n).satisfied
+                    assert condition_witness(extended, n) is not None
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            satisfies_condition([1, 2], 3)  # increasing
+            condition_witness([1, 2], 3)  # increasing
         with pytest.raises(ValueError):
-            satisfies_condition([3, 0], 3)  # nonpositive part
+            condition_witness([3, 0], 3)  # nonpositive part
 
 
 class TestEnumeration:
@@ -219,7 +218,7 @@ class TestMinimality:
             failures = [
                 p.parts
                 for p in enumerate_partitions(big_n(n) - 1)
-                if not satisfies_condition(p, n).satisfied
+                if condition_witness(p, n) is None
             ]
             assert failures == [extreme_partition(n).parts[:-1]], (n, failures)
 

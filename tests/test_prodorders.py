@@ -504,15 +504,15 @@ class TestChainLinks:
     def test_quartic_chain_report(self):
         rep = verify_chain(2)
         assert rep.passed
-        assert rep.covered_through == 2873716602918
-        assert [l.anchor for l in rep.links] == [6, 1302]
-        assert [s["name"] for s in rep.steps] == [
+        assert rep.detail["covered_through"] == 2873716602918
+        assert [l["anchor"] for l in rep.detail["links"]] == [6, 1302]
+        assert [s["name"] for s in rep.detail["steps"]] == [
             "tiny_range_ord2",
             "link_anchor_6",
             "link_anchor_1302",
             "asymptotic_handoff",
         ]
-        assert rep.covered_through > 10**12
+        assert rep.detail["covered_through"] > 10**12
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_anchor_cap_is_exact(self, n):
@@ -527,8 +527,9 @@ class TestChainLinks:
         from sympy.ntheory import nthroot_mod
 
         rep = verify_chain(n)
-        frontier = rep.trivial_through
-        for link in rep.links:
+        frontier = rep.detail["trivial_through"]
+        for doc in rep.detail["links"]:
+            link = ChainLink(doc["anchor"], n, doc["p"], tuple(doc["next_roots"]), doc["cover_hi"])
             validate_chain_link(link)
             assert sympy.isprime(link.p)
             roots = sorted(nthroot_mod(link.p - 1, 1 << n, link.p, all_roots=True))
@@ -536,7 +537,7 @@ class TestChainLinks:
             assert list(link.next_roots) == sorted(r + link.p if r <= link.anchor else r for r in roots)
             assert link.anchor <= frontier + 1 and link.cover_hi > frontier
             frontier = link.cover_hi
-        assert rep.covered_through == frontier
+        assert rep.detail["covered_through"] == frontier
 
     def test_links_overlap(self):
         l1 = verify_chain_link(6, 2)
@@ -549,15 +550,16 @@ class TestBoundChecks:
     def test_all_ingredient_bounds_hold(self, m, n):
         rep = bound_checks(m, n)
         assert rep.passed
-        kinds = {r.kind for r in rep.records}
+        kinds = {r["kind"] for r in rep.detail["records"]}
         assert kinds == {"valuation_gap", "large_prime_order", "factorial_floor"}
 
     def test_margins_reported(self):
         rep = bound_checks(100, 2)
-        for r in rep.records:
-            if r.kind == "factorial_floor":
-                want = beta_p(100, r.p) - (99 / (r.p - 1) - 2 * math.log(100) / math.log(r.p))
-                assert r.margin == want
+        for r in rep.detail["records"]:
+            if r["kind"] == "factorial_floor":
+                p = r["p"]
+                want = beta_p(100, p) - (99 / (p - 1) - 2 * math.log(100) / math.log(p))
+                assert r["margin"] == want
 
     def test_cap(self):
         with pytest.raises(InfeasibleSizeError):
