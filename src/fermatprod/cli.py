@@ -140,6 +140,9 @@ def _cmd_cyclotomic(args) -> tuple[dict, Check]:
         "x_limit": args.x_limit,
         "single_x_limit": args.single_x_limit,
     }
+    for key, value in params.items():
+        if key != "n" and value < 0:
+            raise ValueError(f"--{key.replace('_', '-')} must be >= 0, got {value}")
     try:
         check = cyclotomic.prime_bound_search(**params)
     except CertificateError as err:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from .analytic import primes_upto
 from .check import Check
 from .errors import (
     CertificateError,
@@ -24,7 +25,7 @@ from .errors import (
     InvalidSystemError,
     TooFewRootsError,
 )
-from .ntcore import is_prime, roots_of_minus_one
+from .ntcore import is_prime, lifted_roots, roots_of_minus_one
 from .partitions import big_n, enumerate_partitions, r_bound
 
 
@@ -240,29 +241,57 @@ def check_prime_bound(sys: CongruenceSystem) -> BoundCertificate:
     return cert
 
 
-def _split_primes(n: int, limit: int) -> Iterator[int]:
-    """Primes p <= limit with p = 1 (mod 2^(n+1)), ascending."""
-    step = 1 << (n + 1)
-    for p in range(step + 1, limit + 1, step):
-        if is_prime(p):
-            yield p
+def _split_primes(n: int, limit: int) -> list[int]:
+    """Primes p <= limit with p = 1 (mod 2^(n+1)), ascending, read from the sieve.
+
+    A limit above analytic.SIEVE_CAP raises InfeasibleSizeError before the
+    sieve allocates anything.
+    """
+    step = 2 << n
+    if limit <= step:
+        return []
+    primes = primes_upto(limit)
+    return primes[primes % step == 1].tolist()
 
 
-def _orders_up_to(n: int, p: int, x_limit: int) -> dict[int, int]:
-    """ord_p(x^(2^n)+1) for every x <= x_limit in a root class of p."""
-    rs = roots_of_minus_one(n, p)
-    e = 1 << n
-    orders: dict[int, int] = {}
-    for r in rs.roots:
-        start = r if r >= 1 else r + p
-        for x in range(start, x_limit + 1, p):
-            v = x**e + 1
-            o = 0
+def _top_pool(n: int, p: int, x_limit: int) -> list[tuple[int, int]]:
+    """The first big_n(n) pairs (x, ord_p(x^(2^n)+1)) of p's pool, by order descending, then x.
+
+    The pool is every x in [1, x_limit] in a root class of p.  The 2^n roots
+    of x^(2^n)+1 mod p^2 are checked to be distinct roots; the derivative is
+    a unit, so by Hensel's lemma each root mod p has exactly one lift and
+    there are no others.  Hence their residues mod p are all the root
+    classes, a member of order >= 2 is one of the few x = R (mod p^2), whose
+    orders come by exact division, and every other member has order exactly
+    1, checked as x^(2^n) = -1 (mod p).  Those fill the rest, x ascending.
+    """
+    e, sq, total = 1 << n, p * p, big_n(n)
+    lifts = lifted_roots(n, p, 2).roots
+    if len(set(lifts)) != e or any(pow(r, e, sq) != sq - 1 for r in lifts):
+        raise CertificateError(f"the lifted roots of x^(2^{n})+1 mod {p}^2 fail their check")
+    pool = []
+    for r in lifts:
+        for x in range(r, x_limit + 1, sq):
+            v, o = x**e + 1, 0
             while v % p == 0:
                 v //= p
                 o += 1
-            orders[x] = o
-    return orders
+            pool.append((x, o))
+    pool.sort(key=lambda kv: (-kv[1], kv[0]))
+    del pool[total:]
+    # each root class with its one lift mod p^2, ascending by class
+    classes = sorted((r % p, r) for r in lifts)
+    for block in range(0, x_limit + 1, p):
+        for c, lift in classes:
+            x = block + c
+            if len(pool) == total or x > x_limit:
+                return pool
+            if x % sq == lift:
+                continue
+            if pow(x, e, p) != p - 1:
+                raise CertificateError(f"{x} is not a root of x^(2^{n})+1 mod {p}")
+            pool.append((x, 1))
+    return pool
 
 
 def iter_realizable_systems(
@@ -270,17 +299,18 @@ def iter_realizable_systems(
 ) -> Iterator[CongruenceSystem]:
     """One realization of every (prime, partition of big_n(n)) admitting distinct x <= x_limit.
 
-    For each split prime p <= p_limit the x pool is sorted by capacity
+    For each split prime p <= p_limit the x pool is ordered by capacity
     ord_p(x^(2^n)+1) descending (then x ascending).  A partition
     k_1 >= ... >= k_s is realizable iff the i-th pooled capacity covers k_i,
     the Hall condition for this threshold matching; the capacities go to
     enumerate_partitions as caps, so the condition holds by construction and
     no unrealizable partition is generated.  The i-th part goes to the i-th
-    pooled x.
+    pooled x.  A partition has at most big_n(n) parts, so only the pool's
+    first big_n(n) entries are built (_top_pool).
     """
     total = big_n(n)
     for p in _split_primes(n, p_limit):
-        pool = sorted(_orders_up_to(n, p, x_limit).items(), key=lambda kv: (-kv[1], kv[0]))
+        pool = _top_pool(n, p, x_limit)
         for part in enumerate_partitions(total, [o for _, o in pool]):
             ks = part.parts
             yield CongruenceSystem.make(
@@ -293,19 +323,20 @@ def counterexample_search(n: int, p_limit: int, x_limit: int) -> CongruenceSyste
 
     Exhaustive over split primes p <= p_limit: a violation at p needs its x
     values below (p-2)/2, so it exists iff the orders of x^(2^n)+1 over that
-    restricted range sum to at least big_n(n).  Expected result is None.
+    restricted range sum to at least big_n(n).  Each entry has order >= 1,
+    so the pool's first big_n(n) entries decide that.  Expected result is None.
     """
     total = big_n(n)
     for p in _split_primes(n, p_limit):
         viol_cap = min(x_limit, (p - 3) // 2)
         if viol_cap < 1:
             continue
-        orders = _orders_up_to(n, p, viol_cap)
-        if sum(orders.values()) < total:
+        pool = _top_pool(n, p, viol_cap)
+        if sum(o for _, o in pool) < total:
             continue
         entries = []
         remaining = total
-        for x, o in sorted(orders.items(), key=lambda kv: (-kv[1], kv[0])):
+        for x, o in pool:
             k = min(o, remaining)
             entries.append((x, k))
             remaining -= k
@@ -333,13 +364,14 @@ def single_entry_search(n: int, x_limit: int) -> CongruenceSystem | None:
     """Search for p^big_n(n) | x^(2^n)+1 with p > 2(x+1), x <= x_limit.
 
     The candidate primes for each x are bounded by the big_n(n)-th root of
-    x^(2^n)+1, so only small primes are ever tested.  Expected result None.
+    x^(2^n)+1, so only small primes are ever tested, and a hit needs one with
+    2(x+1) < p <= b_max, so x stops at b_max // 2.  Expected result None.
     """
     total = big_n(n)
     e = 1 << n
     b_max = _iroot(x_limit**e + 1, total)
-    primes = list(_split_primes(n, b_max))
-    for x in range(1, x_limit + 1):
+    primes = _split_primes(n, b_max)
+    for x in range(1, min(x_limit, b_max // 2) + 1):
         v = x**e + 1
         b = _iroot(v, total)
         for p in primes:

@@ -7,7 +7,7 @@ from math import isqrt
 
 import numpy as np
 
-from fermatprod.cyclotomic import CongruenceSystem, _orders_up_to, _split_primes
+from fermatprod.cyclotomic import CongruenceSystem
 from fermatprod.errors import ChainBreakError
 from fermatprod.ntcore import is_prime
 from fermatprod.partitions import big_n, enumerate_partitions, extreme_partition, r_bound
@@ -107,26 +107,108 @@ def minimality_by_enumeration(n: int) -> bool:
     return not _satisfies_by_blocks(extreme_partition(n).parts[:-1], thresholds)
 
 
+def is_prime_by_trial(v: int) -> bool:
+    """Primality by trial division up to isqrt(v)."""
+    if v < 2:
+        return False
+    return all(v % d for d in range(2, isqrt(v) + 1))
+
+
+def split_primes_by_trial(n: int, limit: int) -> list[int]:
+    """Primes p <= limit with p = 1 (mod 2^(n+1)), ascending, by trial division."""
+    step = 2 << n
+    return [p for p in range(step + 1, limit + 1, step) if is_prime_by_trial(p)]
+
+
+def orders_by_scan(n: int, p: int, x_limit: int) -> dict[int, int]:
+    """ord_p(x^(2^n)+1) for every x in [1, x_limit] it divides, scanning every x.
+
+    x^(2^n) mod p comes from n squarings of the whole range at once (int64,
+    so p < 2^31); each hit's order is then found by exact division.
+    """
+    assert p < 1 << 31
+    xs = np.arange(1, max(x_limit, 0) + 1, dtype=np.int64)
+    pw = xs % p
+    for _ in range(n):
+        pw = pw * pw % p
+    orders = {}
+    for x in (xs[pw == p - 1]).tolist():
+        v, o = x ** (1 << n) + 1, 0
+        while v % p == 0:
+            v //= p
+            o += 1
+        orders[x] = o
+    return orders
+
+
+def _sorted_pool(n: int, p: int, x_limit: int) -> list[tuple[int, int]]:
+    """Every (x, order) of orders_by_scan, by order descending, then x."""
+    return sorted(orders_by_scan(n, p, x_limit).items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def _partitions_within(total: int, largest: int, most: int):
+    """Partitions of total into at most `most` parts of at most `largest`, reverse lexicographic."""
+    if total == 0:
+        yield ()
+        return
+    if total > largest * most:
+        return
+    for first in range(min(total, largest), 0, -1):
+        for rest in _partitions_within(total - first, first, most - 1):
+            yield (first,) + rest
+
+
 def realizable_systems_by_filter(n: int, p_limit: int, x_limit: int):
-    """iter_realizable_systems as list-then-filter: every partition of big_n(n), per prime."""
+    """iter_realizable_systems as list-then-filter over each prime's whole pool.
+
+    The listing is cut only by what no pool can hold, more parts than the
+    pool has or a part above its largest order; the filter does the rest.
+    """
     total = big_n(n)
-    for p in _split_primes(n, p_limit):
-        orders = _orders_up_to(n, p, x_limit)
-        if not orders:
+    for p in split_primes_by_trial(n, p_limit):
+        pool = _sorted_pool(n, p, x_limit)
+        if not pool:
             continue
-        pool = sorted(orders.items(), key=lambda kv: (-kv[1], kv[0]))
         caps = [o for _, o in pool]
-        if sum(caps) < total:
-            continue
-        for part in enumerate_partitions(total):
-            ks = part.parts
-            if len(ks) > len(pool):
-                continue
+        for ks in _partitions_within(total, caps[0], len(pool)):
             if any(caps[i] < ks[i] for i in range(len(ks))):
                 continue
             yield CongruenceSystem.make(
                 n, p, tuple((pool[i][0], ks[i]) for i in range(len(ks)))
             )
+
+
+def counterexample_by_scan(n: int, p_limit: int, x_limit: int) -> CongruenceSystem | None:
+    """counterexample_search over each prime's whole pool below (p - 2) / 2."""
+    total = big_n(n)
+    for p in split_primes_by_trial(n, p_limit):
+        pool = _sorted_pool(n, p, min(x_limit, (p - 3) // 2))
+        if sum(o for _, o in pool) < total:
+            continue
+        entries, remaining = [], total
+        for x, o in pool:
+            entries.append((x, min(o, remaining)))
+            remaining -= entries[-1][1]
+            if not remaining:
+                return CongruenceSystem.make(n, p, tuple(entries))
+    return None
+
+
+def single_entry_by_scan(n: int, x_limit: int) -> CongruenceSystem | None:
+    """single_entry_search over every x <= x_limit, its prime bound by sympy.integer_nthroot."""
+    from sympy import integer_nthroot
+
+    total, e = big_n(n), 1 << n
+    primes = split_primes_by_trial(n, integer_nthroot(max(x_limit, 0) ** e + 1, total)[0])
+    for x in range(1, x_limit + 1):
+        v = x**e + 1
+        b = integer_nthroot(v, total)[0]
+        for p in primes:
+            if p > b:
+                break
+            if v % p**total == 0 and p > 2 * (x + 1):
+                return CongruenceSystem.make(n, p, ((x, total),))
+    return None
 
 
 def sylvester_resultant(A, B):

@@ -161,6 +161,29 @@ class TestCyclotomic:
         assert doc["payload"]["systems_certified"] == systems
 
 
+    @pytest.mark.parametrize("flag", ["--p-limit", "--x-limit", "--single-x-limit"])
+    def test_negative_limit_is_a_usage_error(self, capsys, flag):
+        code = main(["cyclotomic", flag, "-1", "--json"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"usage: {flag} must be >= 0, got -1"]
+
+    def test_zero_limits_are_valid(self, capsys):
+        code, out = run(
+            capsys, "cyclotomic", "--p-limit", "0", "--x-limit", "0", "--single-x-limit", "0",
+            "--json",
+        )
+        assert code == 0
+        assert json.loads(out)["payload"]["systems_certified"] == 0
+
+    def test_prime_limit_past_the_sieve_cap_is_infeasible(self, capsys):
+        # refused before the sieve allocates anything
+        code = main(["cyclotomic", "--p-limit", str(10**10), "--json"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("infeasible:")
+
+
 class TestAnalytic:
     def test_crossing(self, capsys):
         code, out = run(capsys, "analytic", "--check", "crossing", "--n", "2", "--json")

@@ -4,9 +4,12 @@ import random
 
 import pytest
 
+from fermatprod import cyclotomic as cy
 from fermatprod.cyclotomic import (
     CongruenceSystem,
     _binomial_norm,
+    _split_primes,
+    _top_pool,
     check_prime_bound,
     counterexample_search,
     iter_realizable_systems,
@@ -17,10 +20,18 @@ from fermatprod.errors import HypothesisUnmetError, InvalidSystemError, TooFewRo
 from fermatprod.ntcore import hensel_lift
 from fermatprod.partitions import big_n, r_bound
 from oracles import (
+    counterexample_by_scan,
+    orders_by_scan,
     primitive_roots_integrally_independent,
     realizable_systems_by_filter,
+    single_entry_by_scan,
+    split_primes_by_trial,
     sylvester_resultant,
 )
+
+# (p_limit, x_limit) for the differential tests at every n = 1..5; the last
+# is a workload-sized cyclotomic command
+SEARCH_LIMITS = ((0, 0), (17, 16), (300, 200), (3000, 2000), (20000, 12000))
 
 
 def binomial_coeffs(a, b, level, tp):
@@ -236,7 +247,8 @@ class TestPrimeBound:
 
     @pytest.mark.parametrize(
         "n,p_limit,x_limit",
-        [(n, p, x) for n in (1, 2, 3, 4) for p, x in ((300, 200), (3000, 2000))] + [(4, 9168, 5386)],
+        [(n, p, x) for n in (1, 2, 3, 4) for p, x in ((300, 200), (3000, 2000))]
+        + [(4, 9168, 5386), (5, 300, 200), (5, 3000, 2000), (2, 20000, 12000), (1, 0, 0)],
     )
     def test_realizable_systems_match_filter_oracle(self, n, p_limit, x_limit):
         got = list(iter_realizable_systems(n, p_limit, x_limit))
@@ -301,15 +313,43 @@ class TestPrimeBound:
         assert single_entry_search(1, 2000) is None
         assert single_entry_search(2, 2000) is None
 
-    def test_search_would_report_a_planted_violation(self):
+    def test_search_would_report_a_planted_violation(self, monkeypatch):
         # counterexample_search's detector: feed it a fake prime whose
-        # restricted-range capacity meets the total, via a tiny shim
-        from fermatprod import cyclotomic as cy
+        # restricted-range pool meets the total, via a tiny shim
+        monkeypatch.setattr(cy, "_top_pool", lambda n, p, x_limit: [(1, 3), (2, 2)])
+        found = cy.counterexample_search(2, 18, 10)
+        assert found is not None and found.total_order == big_n(2)
 
-        real = cy._orders_up_to
-        try:
-            cy._orders_up_to = lambda n, p, x_limit: {1: 3, 2: 2}
-            found = cy.counterexample_search(2, 18, 10)
-            assert found is not None and found.total_order == big_n(2)
-        finally:
-            cy._orders_up_to = real
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("p_limit,x_limit", SEARCH_LIMITS)
+    def test_counterexample_search_matches_scan(self, n, p_limit, x_limit):
+        assert counterexample_search(n, p_limit, x_limit) == counterexample_by_scan(
+            n, p_limit, x_limit
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("x_limit", [0, 1, 300, 2000])
+    def test_single_entry_search_matches_unpruned_loop(self, n, x_limit):
+        assert single_entry_search(n, x_limit) == single_entry_by_scan(n, x_limit)
+
+
+class TestPools:
+    """The search helpers against the trial-division and full-scan oracles."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_split_primes_match_trial_listing(self, n, monkeypatch):
+        def refused(v):
+            raise AssertionError("_split_primes ran a primality test")
+
+        monkeypatch.setattr(cy, "is_prime", refused)
+        step = 2 << n
+        for limit in (0, 1, 2, step, step + 1, 1000, 20000):
+            assert _split_primes(n, limit) == split_primes_by_trial(n, limit), limit
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("x_limit", [0, 1, 16, 200, 2000, 12000])
+    def test_top_pool_is_the_head_of_the_full_pool(self, n, x_limit):
+        # small primes, where x_limit passes p^2 and members of order >= 2 appear
+        for p in split_primes_by_trial(n, 1000)[:6]:
+            full = sorted(orders_by_scan(n, p, x_limit).items(), key=lambda kv: (-kv[1], kv[0]))
+            assert _top_pool(n, p, x_limit) == full[: big_n(n)], (n, p, x_limit)
