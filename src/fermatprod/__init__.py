@@ -53,9 +53,6 @@ from .prodorders import (
     bound_checks,
     build_valuation_table,
     is_qth_power_obstructed,
-    min_order,
-    min_order_scan,
-    product_value,
     verify_chain,
     verify_chain_link,
 )
@@ -91,13 +88,10 @@ __all__ = [
     "is_prime",
     "is_qth_power_obstructed",
     "iter_realizable_systems",
-    "min_order",
-    "min_order_scan",
     "pi",
     "pi_ap",
     "pigeonhole_witness",
     "prime_bound_search",
-    "product_value",
     "r_bound",
     "roots_of_minus_one",
     "single_entry_search",

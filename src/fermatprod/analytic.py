@@ -1,9 +1,9 @@
 """Sieve-backed prime counting and numeric spot-checks of the analytic bounds.
 
-One prime sieve, primes_upto, backs pi, pi(x; q, a) and theta(x; q, a)
-through get_sieve, which caches its read-only result.  It is a numpy
-sieve of Eratosthenes over odd numbers only, with the multiples of 3..13
-struck by a tiled wheel pattern and the other base primes struck one
+One prime sieve, primes_upto, backs pi, pi(x; q, a) and theta(x; q, a):
+every caller passes the sieve, which get_sieve caches read-only.  It is a
+numpy sieve of Eratosthenes over odd numbers only, with the multiples of
+3..13 struck by a tiled wheel pattern and the other base primes struck one
 cache-sized segment at a time; the test suite checks it against an
 independent pure-Python segmented sieve.  All logarithms are natural.
 
@@ -141,8 +141,8 @@ _sieves_lock = threading.Lock()
 
 
 @lru_cache(maxsize=4)
-def get_sieve(limit: int = DEFAULT_SIEVE_LIMIT) -> SievedPrimes:
-    """Cached sieve used as the default backend for the counters; its array is read-only.
+def get_sieve(limit: int) -> SievedPrimes:
+    """The cached sieve of the primes up to limit; its array is read-only.
 
     Each limit is sieved once: the build runs under a module lock, and every
     caller gets the sieve it published.
@@ -154,22 +154,18 @@ def get_sieve(limit: int = DEFAULT_SIEVE_LIMIT) -> SievedPrimes:
         return sv
 
 
-def _backend(x: int, sieve: SievedPrimes | None) -> SievedPrimes:
-    sv = sieve if sieve is not None else get_sieve()
-    if x > sv.limit:
-        raise BeyondSieveError(f"x={x} beyond sieved limit {sv.limit}")
-    return sv
+def _count_upto(x: int, sieve: SievedPrimes) -> int:
+    if x > sieve.limit:
+        raise BeyondSieveError(f"x={x} beyond sieved limit {sieve.limit}")
+    return int(np.searchsorted(sieve.primes, x, side="right"))
 
 
-def pi(x: int, sieve: SievedPrimes | None = None) -> int:
+def pi(x: int, sieve: SievedPrimes) -> int:
     """Number of primes <= x."""
-    sv = _backend(x, sieve)
-    return int(np.searchsorted(sv.primes, x, side="right"))
+    return _count_upto(x, sieve)
 
 
-def _in_class(
-    x: int, q: int, a: int, sieve: SievedPrimes | None
-) -> tuple[np.ndarray, np.ndarray]:
+def _in_class(x: int, q: int, a: int, sieve: SievedPrimes) -> tuple[np.ndarray, np.ndarray]:
     """The primes p <= x and the mask of those with p = a (mod q); requires gcd(a, q) = 1.
 
     Callers select with compress, which runs about 3x faster here than a
@@ -177,18 +173,17 @@ def _in_class(
     """
     if gcd(a, q) != 1:
         raise ValueError(f"need gcd(a, q) = 1, got a={a}, q={q}")
-    sv = _backend(x, sieve)
-    k = int(np.searchsorted(sv.primes, x, side="right"))
-    return sv.primes[:k], sv.residues(q)[:k] == a % q
+    k = _count_upto(x, sieve)
+    return sieve.primes[:k], sieve.residues(q)[:k] == a % q
 
 
-def pi_ap(x: int, q: int, a: int, sieve: SievedPrimes | None = None) -> int:
+def pi_ap(x: int, q: int, a: int, sieve: SievedPrimes) -> int:
     """Number of primes p <= x with p = a (mod q); requires gcd(a, q) = 1."""
     _, hit = _in_class(x, q, a, sieve)
     return int(np.count_nonzero(hit))
 
 
-def theta_ap(x: int, q: int, a: int, sieve: SievedPrimes | None = None) -> float:
+def theta_ap(x: int, q: int, a: int, sieve: SievedPrimes) -> float:
     """Chebyshev theta(x; q, a) = sum of ln p over primes p <= x, p = a (mod q)."""
     ps, hit = _in_class(x, q, a, sieve)
     return exact_sum(np.log(ps.compress(hit).astype(np.float64)))
@@ -263,9 +258,7 @@ def _sampled(name: str, records: list[dict]) -> Check:
     return Check(name, passed, {"records": records})
 
 
-def check_pi_bound(
-    samples=(10**6, 10**7), sieve: SievedPrimes | None = None
-) -> Check:
+def check_pi_bound(samples, sieve: SievedPrimes) -> Check:
     """pi(x) <= 1.1 x / ln x for x >= 10^6."""
     records = []
     for x in samples:
@@ -282,33 +275,31 @@ def _grid(lo: int, hi: int, points: int) -> tuple[int, ...]:
     return tuple(sorted({max(lo, min(hi, int(round(v)))) for v in xs}))
 
 
-def check_bt_bound(
-    n: int, samples=None, sieve: SievedPrimes | None = None
-) -> Check:
-    """Brun-Titchmarsh specialization pi(x; 2^(n+1), 1) <= 4x / (2^n ln x) for x >= 4^(n+1)."""
+def check_bt_bound(n: int, samples, sieve: SievedPrimes) -> Check:
+    """Brun-Titchmarsh specialization pi(x; 2^(n+1), 1) <= 4x / (2^n ln x) for x >= 4^(n+1).
+
+    samples None checks ten log-spaced points from 4^(n+1) to the sieve's limit.
+    """
     if n < 2:
         raise ValueError(f"bound is asserted for n >= 2, got {n}")
     q = 1 << (n + 1)
     lo = 4 ** (n + 1)
-    sv = sieve if sieve is not None else get_sieve()
     if samples is None:
         # refused before the float grid, which cannot take 4^(n+1) >= 2^64
-        if lo > sv.limit:
-            raise BeyondSieveError(f"x=4^{n + 1} beyond sieved limit {sv.limit}")
-        samples = _grid(lo, sv.limit, 10)
+        if lo > sieve.limit:
+            raise BeyondSieveError(f"x=4^{n + 1} beyond sieved limit {sieve.limit}")
+        samples = _grid(lo, sieve.limit, 10)
     records = []
     for x in samples:
         if x < lo:
             raise ValueError(f"bound needs x >= 4^(n+1) = {lo}, got {x}")
-        lhs = float(pi_ap(x, q, 1, sv))
+        lhs = float(pi_ap(x, q, 1, sieve))
         rhs = 4.0 * x / ((1 << n) * math.log(x))
         records.append(_record(x, lhs, rhs, rhs - lhs))
     return _sampled("bt_bound", records)
 
 
-def check_logsum_bound(
-    a: int, x: int, sieve: SievedPrimes | None = None
-) -> Check:
+def check_logsum_bound(a: int, x: int, sieve: SievedPrimes) -> Check:
     """sum_{p <= x, p = a mod 8} ln p / p > 0.245 ln x - 3.15 for x >= 10^6, a in {1,3,5,7}."""
     if a not in (1, 3, 5, 7):
         raise ValueError(f"a must be an odd class mod 8, got {a}")
@@ -321,9 +312,7 @@ def check_logsum_bound(
     return _sampled("logsum_bound", [_record(x, lhs, rhs, lhs - rhs)])
 
 
-def check_theta_window(
-    a: int, samples=(10**6, 3 * 10**6, 10**7), sieve: SievedPrimes | None = None
-) -> Check:
+def check_theta_window(a: int, samples, sieve: SievedPrimes) -> Check:
     """|theta(x; 8, a) - x/4| < 0.024 x / ln x, spot-checked at desk scale."""
     if a not in (1, 3, 5, 7):
         raise ValueError(f"a must be an odd class mod 8, got {a}")

@@ -309,8 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ana = sub.add_parser("analytic", parents=[common], help="sieve-backed bound checks")
     p_ana.add_argument(
-        "--check", "--lemma",
-        dest="check",
+        "--check",
         choices=("pi", "bt", "logsum", "theta", "margin", "crossing"),
         required=True,
     )

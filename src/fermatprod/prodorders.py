@@ -1,12 +1,12 @@
 """Exact p-adic valuations of P(m, n) = prod_{x <= m} (x^(2^n) + 1).
 
 alpha_p comes from root counting in residue classes (never from scanning
-values).  Valuation tables, min_order and min_order_scan read one
-incremental factorization engine per level n, which holds the prime
-factorization of x^(2^n)+1 for every x <= m_done.  A query past m_done
-factors only the new x, on one strip-and-split path: 2 and every split
-prime p <= B are divided out through their root classes mod p,
-B = max(m, min(isqrt(m^(2^n)+1), 1024 m, 2^20)), and the residual is split.
+values).  Valuation tables read one incremental factorization engine per
+level n, which holds the prime factorization of x^(2^n)+1 for every
+x <= m_done.  A query past m_done factors only the new x, on one
+strip-and-split path: 2 and every split prime p <= B are divided out
+through their root classes mod p, B = max(m, min(isqrt(m^(2^n)+1), 1024 m,
+2^20)), and the residual is split.
 Each residual prime is certified in one of three ways: by size, when it
 lies below (B+1)^2 (it has no prime factor <= B); otherwise by
 ntcore.is_probable_prime, deterministic Miller-Rabin below 2^64 and
@@ -20,7 +20,8 @@ an estimate can cost time but never yield a wrong factor.  Larger
 residuals, smaller batches and composites the batch leaves open go to
 Pollard-Brent rho on Python integers.  A query at or below m_done
 aggregates the stored prefix.  Every query checks its exponent sum for
-each split p <= m against alpha_p.  Chain links certify that a single
+each split p <= m against alpha_p; sizes past TABLE_CAP or VALUE_BITS_CAP
+are refused before any factoring.  Chain links certify that a single
 anchored prime keeps some order at most 2^n across a verified interval of
 m; verify_chain joins them greedily.
 """
@@ -30,9 +31,8 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from math import gcd, isqrt
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,13 +48,16 @@ from .errors import (
 from .ntcore import (
     PRIMALITY_LIMIT,
     count_roots_upto,
-    hensel_lift,
     is_prime,
     is_probable_prime,
+    lifted_roots,
     roots_of_minus_one,
 )
 
 TABLE_CAP = 100_000
+# the largest (m-1).bit_length() * 2^n, about the bits of m^(2^n), that a table takes;
+# m = 3000, n = 3 sits at it
+VALUE_BITS_CAP = 96
 BOUND_CHECK_CAP = 10_000
 
 
@@ -103,26 +106,6 @@ def beta_p(m: int, p: int) -> int:
         total += m // pj
         pj *= p
     return total
-
-
-def _balanced_prod(vals: list[int]) -> int:
-    if not vals:
-        return 1
-    work = list(vals)
-    while len(work) > 1:
-        nxt = [work[i] * work[i + 1] for i in range(0, len(work) - 1, 2)]
-        if len(work) & 1:
-            nxt.append(work[-1])
-        work = nxt
-    return work[0]
-
-
-def product_value(m: int, n: int) -> int:
-    """The exact big integer P(m, n); intended for desk-scale m."""
-    if m < 1 or n < 1:
-        raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    e = 1 << n
-    return _balanced_prod([x**e + 1 for x in range(1, m + 1)])
 
 
 # --- cofactor splitting -------------------------------------------------------
@@ -328,9 +311,6 @@ class ValuationTable:
     n: int
     alpha: dict[int, int]
 
-    def product(self) -> int:
-        return _balanced_prod([p**a for p, a in sorted(self.alpha.items())])
-
 
 # --- split-prime root table --------------------------------------------------
 #
@@ -442,7 +422,7 @@ def _root_table(n: int, limit: int) -> _RootTable:
 # --- incremental factorization engine -------------------------------------------
 #
 # One engine per level n holds the complete factorization of x^(2^n)+1 for
-# every x <= m_done, and every table, min_order and scan at level n reads it.
+# every x <= m_done, and every table at level n reads it.
 # A query past m_done strips and splits only the new values; a query at or
 # below m_done aggregates the stored prefix.
 
@@ -557,12 +537,27 @@ def _factorizations(n: int, m: int) -> _Factorizations:
         return state
 
 
-def _valuations(m: int, n: int) -> tuple[_Factorizations, dict[int, int]]:
-    """The engine state covering m, and p -> ord_p(P(m, n)) from it, ascending in p.
+def build_valuation_table(m: int, n: int) -> ValuationTable:
+    """Complete exact valuation table of P(m, n), ascending in p, for m up to 100000.
 
-    For every split prime p <= m the count must equal alpha_p from root
-    counting; a disagreement raises ArithmeticError.
+    Read from the level-n engine: residual primes are certified by the size
+    bound below (B+1)^2, by deterministic 64-bit Miller-Rabin, or by BPSW
+    above 2^64.  For every split prime p <= m the count must equal alpha_p
+    from root counting; a disagreement raises ArithmeticError.  Sizes with
+    (m-1).bit_length() * 2^n > VALUE_BITS_CAP are refused: past it a residual
+    can be too large to split, such as 2^(2^16)+1 at m = 2, n = 16.
     """
+    if m < 1 or n < 1:
+        raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    if m > TABLE_CAP:
+        raise InfeasibleSizeError(f"table building supported for m <= {TABLE_CAP}, got {m}")
+    # bits * 2^n > VALUE_BITS_CAP, tested without forming 2^n; m = 1 counts as one bit
+    bits = max(m - 1, 1).bit_length()
+    if n >= (VALUE_BITS_CAP // bits).bit_length():
+        raise InfeasibleSizeError(
+            f"table building supported while (m-1).bit_length() * 2^n <= {VALUE_BITS_CAP}, "
+            f"got m={m}, n={n}"
+        )
     state = _factorizations(n, m)
     primes, counts = np.unique(state.primes[: state.offsets[m]], return_counts=True)
     alpha = dict(zip(primes.tolist(), counts.tolist()))
@@ -570,28 +565,7 @@ def _valuations(m: int, n: int) -> tuple[_Factorizations, dict[int, int]]:
     for p in split[: int(np.searchsorted(split, m, side="right"))].tolist():
         if alpha.get(p, 0) != alpha_p(m, n, p):
             raise ArithmeticError(f"strip and root counting disagree at p={p}")
-    return state, alpha
-
-
-def build_valuation_table(m: int, n: int) -> ValuationTable:
-    """Complete exact valuation table of P(m, n) for m up to 100000.
-
-    Read from the level-n engine: residual primes are certified by the size
-    bound below (B+1)^2, by deterministic 64-bit Miller-Rabin, or by BPSW
-    above 2^64, and every split prime p <= m is checked against alpha_p.
-    """
-    if m < 1 or n < 1:
-        raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    if m > TABLE_CAP:
-        raise InfeasibleSizeError(f"table building supported for m <= {TABLE_CAP}, got {m}")
-    return ValuationTable(m, n, _valuations(m, n)[1])
-
-
-def min_order(m: int, n: int) -> tuple[int, int]:
-    """(p, ord) minimizing ord_p(P(m, n)); ties broken by the smaller prime."""
-    table = build_valuation_table(m, n)
-    p, a = min(table.alpha.items(), key=lambda kv: (kv[1], kv[0]))
-    return p, a
+    return ValuationTable(m, n, alpha)
 
 
 def is_qth_power_obstructed(table: ValuationTable, q: int) -> bool:
@@ -599,41 +573,6 @@ def is_qth_power_obstructed(table: ValuationTable, q: int) -> bool:
     if q < 1:
         raise ValueError(f"need q >= 1, got {q}")
     return any(a % q for a in table.alpha.values())
-
-
-def min_order_scan(m_max: int, n: int) -> Iterator[tuple[int, int, int]]:
-    """Yield (m, p, ord) of the minimal-order prime for every m = 1..m_max.
-
-    Valuations accumulate one value at a time from the level-n engine's
-    factorizations; equivalent to min_order(m, n) at every m, amortized
-    across the range.
-    """
-    if m_max < 1 or n < 1:
-        raise ValueError(f"need m_max >= 1 and n >= 1, got m_max={m_max}, n={n}")
-    if m_max > TABLE_CAP:
-        raise InfeasibleSizeError(f"scan supported for m_max <= {TABLE_CAP}, got {m_max}")
-    alpha: dict[int, int] = {}
-    counts: dict[int, int] = {}
-    heaps: dict[int, list[int]] = {}
-
-    state, _ = _valuations(m_max, n)
-    offsets = state.offsets[: m_max + 1].tolist()
-    primes = state.primes[: offsets[-1]].tolist()
-    for x in range(1, m_max + 1):
-        for p in primes[offsets[x - 1] : offsets[x]]:
-            old = alpha.get(p, 0)
-            alpha[p] = old + 1
-            if old:
-                counts[old] -= 1
-                if not counts[old]:
-                    del counts[old]
-            counts[old + 1] = counts.get(old + 1, 0) + 1
-            heappush(heaps.setdefault(old + 1, []), p)
-        o_min = min(counts)
-        heap = heaps[o_min]
-        while alpha.get(heap[0]) != o_min:
-            heappop(heap)
-        yield x, heap[0], o_min
 
 
 # --- chain links ------------------------------------------------------------
@@ -675,7 +614,7 @@ def verify_chain_link(a: int, n: int) -> ChainLink:
         # impossible: any root r has r^(2^n)+1 >= p, forcing r >= a
         raise ChainBreakError(f"anchor {a} is not the least root mod {p}")
     nxt = tuple(sorted(r + p if r <= a else r for r in rs.roots))
-    sq = {hensel_lift(n, p, r, 2) for r in rs.roots}
+    sq = lifted_roots(n, p, 2).roots
     p2 = p * p
     for x in nxt[:-1]:
         v = x**e + 1
@@ -700,12 +639,10 @@ def _next_link(n: int, frontier: int, cap: int) -> ChainLink | None:
     """The link at the largest even anchor a <= min(frontier+1, cap) covering past frontier."""
     top = min(frontier + 1, cap)
     for a in range(top - top % 2, 1, -2):
-        if not is_prime(a ** (1 << n) + 1):
-            continue
         try:
             link = verify_chain_link(a, n)
-        except ChainBreakError:
-            continue  # some next root has order > 1: an unusable anchor
+        except (AnchorNotPrimeError, ChainBreakError):
+            continue  # a^(2^n)+1 is composite, or some next root has order > 1
         if link.cover_hi > frontier:
             return link
     return None

@@ -211,6 +211,12 @@ def single_entry_by_scan(n: int, x_limit: int) -> CongruenceSystem | None:
     return None
 
 
+def product_value(m: int, n: int) -> int:
+    """The exact big integer P(m, n) = prod_{x <= m} (x^(2^n) + 1)."""
+    e = 1 << n
+    return math.prod(x**e + 1 for x in range(1, m + 1))
+
+
 def sylvester_resultant(A, B):
     """Oracle: determinant of the Sylvester matrix, exact over Q."""
     m, n = len(A) - 1, len(B) - 1

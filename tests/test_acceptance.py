@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from fermatprod import prodorders
 from fermatprod.analytic import (
     check_bt_bound,
     check_logsum_bound,
@@ -32,11 +33,9 @@ from fermatprod.prodorders import (
     alpha_two,
     build_valuation_table,
     is_qth_power_obstructed,
-    min_order_scan,
-    product_value,
     verify_chain_link,
 )
-from oracles import minimality_by_enumeration
+from oracles import minimality_by_enumeration, product_value
 
 
 def report(num, ok, detail):
@@ -77,12 +76,9 @@ def test_criterion_02_chain_link_anchor_1302():
 
 def test_criterion_03_square_base_case():
     table = build_valuation_table(3, 1)
-    ok = (
-        table.alpha == {2: 2, 5: 2}
-        and table.product() == 100
-        and not is_qth_power_obstructed(table, 2)
-    )
-    report(3, ok, f"P(3,1) = {table.product()} = 10^2, unobstructed for q=2")
+    product = math.prod(p**a for p, a in table.alpha.items())
+    ok = table.alpha == {2: 2, 5: 2} and product == 100 and not is_qth_power_obstructed(table, 2)
+    report(3, ok, f"P(3,1) = {product} = 10^2, unobstructed for q=2")
 
 
 def test_criterion_04_partition_closed_forms():
@@ -163,10 +159,22 @@ def test_criterion_06_valuation_oracle_equivalence():
 
 def test_criterion_07_quartic_order_bound_at_desk_scale():
     start = time.perf_counter()
+    # the engine's primes of x^4+1, x by x; hist[o] counts the primes of order o in P(m, 2)
+    state = prodorders._factorizations(2, 10**4)
+    primes, offsets = state.primes.tolist(), state.offsets.tolist()
+    alpha: dict[int, int] = {}
+    hist: dict[int, int] = {}
     worst = 0
-    for m, p, o in min_order_scan(10**4, 2):
-        if o > worst:
-            worst = o
+    for m in range(1, 10**4 + 1):
+        for p in primes[offsets[m - 1] : offsets[m]]:
+            old = alpha.get(p, 0)
+            alpha[p] = old + 1
+            if old:
+                hist[old] -= 1
+                if not hist[old]:
+                    del hist[old]
+            hist[old + 1] = hist.get(old + 1, 0) + 1
+        worst = max(worst, min(hist))
     elapsed = time.perf_counter() - start
     ok = worst <= 4
     report(7, ok, f"min order over m=1..10^4 never exceeds {worst} (<= 4), {elapsed:.1f}s")

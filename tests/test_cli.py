@@ -1,6 +1,9 @@
 """CLI: subcommands, JSON stability, exit codes."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +42,14 @@ class TestOrders:
 
     def test_over_cap_exits_2(self, capsys):
         assert main(["orders", "1000000000", "2"]) == 2
+
+    @pytest.mark.parametrize("m,n", [("1", "62"), ("2", "16")])
+    def test_values_past_the_size_cap_exit_2(self, capsys, m, n):
+        # 1 62 overflowed the root table's int64 arithmetic, 2 16 ran rho on 2^65536+1
+        code = main(["orders", m, n, "--json"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("infeasible:"), err
 
     def test_long_is_a_verify_all_flag(self):
         with pytest.raises(SystemExit) as exc:
@@ -263,6 +274,25 @@ class TestAnalytic:
         assert main(["analytic", "--check", "bt", "--n", n]) == 2
         out, err = capsys.readouterr()
         assert not out and err.startswith("usage:") and err.count("\n") == 1
+
+
+def readme_commands():
+    """(argv, comment) for each `fermatprod ...` line of README's "Command line" block."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"## Command line\n+```sh\n(.*?)```", text, re.S).group(1)
+    lines = [line.partition("#") for line in block.splitlines() if line.startswith("fermatprod ")]
+    assert lines
+    return [(shlex.split(cmd)[1:], comment) for cmd, _, comment in lines]
+
+
+README_COMMANDS = readme_commands()
+
+
+@pytest.mark.parametrize("argv,comment", README_COMMANDS, ids=[" ".join(a) for a, _ in README_COMMANDS])
+def test_readme_command_line_examples_run(capsys, argv, comment):
+    # an example exits 1 where its comment says so, else 0
+    assert main(argv) == (1 if "exit 1" in comment else 0)
+    assert capsys.readouterr().out
 
 
 class TestParser:

@@ -31,13 +31,10 @@ from fermatprod.prodorders import (
     bound_checks,
     build_valuation_table,
     is_qth_power_obstructed,
-    min_order,
-    min_order_scan,
-    product_value,
     verify_chain,
     verify_chain_link,
 )
-from oracles import validate_chain_link
+from oracles import product_value, validate_chain_link
 
 
 def ord_in(p, v):
@@ -109,7 +106,7 @@ class TestValuationTable:
     def test_product_reconstruction(self):
         for m, n in ((50, 1), (50, 2), (30, 3), (500, 1), (300, 2)):
             table = build_valuation_table(m, n)
-            assert table.product() == product_value(m, n), (m, n)
+            assert math.prod(p**a for p, a in table.alpha.items()) == product_value(m, n), (m, n)
 
     def test_residue_class_invariant(self):
         for m, n in ((200, 1), (120, 2), (60, 3)):
@@ -123,15 +120,29 @@ class TestValuationTable:
         with pytest.raises(InfeasibleSizeError):
             build_valuation_table(10**9, 2)
 
-    def test_min_order(self):
-        assert min_order(3, 1) == (2, 2)
-        assert min_order(3, 2) == (17, 1)
+    @pytest.mark.parametrize("m,n", [(1, 7), (1, 62), (2, 7), (2, 16), (65, 4), (4097, 3)])
+    def test_value_size_cap_refuses(self, m, n):
+        # (m-1).bit_length() * 2^n > 96: refused before any factoring
+        with pytest.raises(InfeasibleSizeError, match="bit_length"):
+            build_valuation_table(m, n)
 
-    def test_min_order_smallest_prime_tie_break(self):
-        # at m=3, n=1 both 2 and 5 have order 2; the smaller prime wins
-        table = build_valuation_table(3, 1)
-        assert set(table.alpha.values()) == {2}
-        assert min_order(3, 1)[0] == 2
+    def test_value_size_cap_accepts_every_documented_size(self, monkeypatch):
+        # README's orders 3000 3, and the largest m each level n = 1..5 takes
+        class Reached(Exception):
+            pass
+
+        def reached(n, m):
+            raise Reached
+
+        monkeypatch.setattr(prodorders, "_factorizations", reached)
+        for m, n in ((3000, 3), (4096, 3), (100_000, 2), (100_000, 1), (64, 4), (8, 5)):
+            with pytest.raises(Reached):
+                build_valuation_table(m, n)
+
+    def test_value_size_cap_takes_level_6_at_m_2(self):
+        # the last level the cap takes, and only at m <= 2
+        assert build_valuation_table(1, 6).alpha == {2: 1}
+        assert build_valuation_table(2, 6).alpha == {2: 1, 274177: 1, 67280421310721: 1}
 
     def test_qth_power_obstruction(self):
         t31 = build_valuation_table(3, 1)
@@ -140,14 +151,8 @@ class TestValuationTable:
         t52 = build_valuation_table(5, 2)
         assert is_qth_power_obstructed(t52, 5)
 
-    def test_scan_matches_single_shot(self):
-        scan = {m: (p, o) for m, p, o in min_order_scan(80, 2)}
-        for m in (1, 2, 17, 50, 80):
-            assert min_order(m, 2) == scan[m]
-
     def test_min_order_1000(self):
-        p, o = min_order(1000, 2)
-        assert o <= 4
+        assert min(build_valuation_table(1000, 2).alpha.values()) <= 4
 
 
 class TestFullRangeInvariants:
@@ -155,7 +160,7 @@ class TestFullRangeInvariants:
     def test_product_reconstruction_m2000(self):
         for n in (1, 2, 3):
             table = build_valuation_table(2000, n)
-            assert table.product() == product_value(2000, n), n
+            assert math.prod(p**a for p, a in table.alpha.items()) == product_value(2000, n), n
 
     @pytest.mark.long
     def test_alpha_oracle_m2000(self):
@@ -265,48 +270,38 @@ class TestStripAndSplit:
 
 
 class TestEngine:
-    @staticmethod
-    def run(kind, m, n):
-        if kind == "table":
-            return list(build_valuation_table(m, n).alpha.items())
-        if kind == "min_order":
-            return min_order(m, n)
-        return list(min_order_scan(m, n))
-
     def test_any_query_order_matches_cold_engines(self, cold_engines):
         rng = random.Random("engine-order")
-        kinds = ("table", "min_order", "scan")
         per_level = []
         for n, top in ((1, 3000), (2, 1200), (3, 150)):
             ms = rng.sample(range(1, top + 1), 5)
             at = rng.randrange(len(ms))
             ms.insert(at + 1, max(ms[: at + 1]))  # lands exactly on m_done
-            per_level.append([(rng.choice(kinds), m, n) for m in ms])
+            per_level.append([(m, n) for m in ms])
         queries = []
         while any(per_level):
             queries.append(rng.choice([q for q in per_level if q]).pop(0))
         want = {}
         for q in queries:
             cold_engines()
-            want[q] = self.run(*q)
+            want[q] = list(build_valuation_table(*q).alpha.items())
         cold_engines()
         seen = set()
-        for kind, m, n in queries:
+        for m, n in queries:
             state = prodorders._engines.get(n)
             m_done = state.m_done if state is not None else 0
             seen.add((n, (m > m_done) - (m < m_done)))
-            assert self.run(kind, m, n) == want[kind, m, n], (kind, m, n, m_done)
+            assert list(build_valuation_table(m, n).alpha.items()) == want[m, n], (m, n, m_done)
         assert seen == {(n, r) for n in (1, 2, 3) for r in (-1, 0, 1)}
 
     def test_scan_matches_sympy_factorint_n3(self):
+        # the engine's stored primes of x^8+1, x by x, are sympy's factorization
         sympy = pytest.importorskip("sympy")
-        acc: Counter = Counter()
-        want = []
+        state = prodorders._factorizations(3, 120)
+        primes, offsets = state.primes.tolist(), state.offsets.tolist()
         for x in range(1, 121):
-            acc.update(sympy.factorint(x**8 + 1))
-            p, o = min(acc.items(), key=lambda kv: (kv[1], kv[0]))
-            want.append((x, p, o))
-        assert list(min_order_scan(120, 3)) == want
+            got = Counter(primes[offsets[x - 1] : offsets[x]])
+            assert got == sympy.factorint(x**8 + 1), x
 
     def test_concurrent_queries_match_fresh_builds(self, monkeypatch, cold_engines):
         n, small, large = 2, 700, 1500
@@ -538,6 +533,13 @@ class TestChainLinks:
             assert link.anchor <= frontier + 1 and link.cover_hi > frontier
             frontier = link.cover_hi
         assert rep.detail["covered_through"] == frontier
+
+    def test_one_primality_test_per_candidate(self, monkeypatch):
+        calls = []
+        real = prodorders.is_prime
+        monkeypatch.setattr(prodorders, "is_prime", lambda v: calls.append(v) or real(v))
+        verify_chain(3)
+        assert calls and len(calls) == len(set(calls))
 
     def test_links_overlap(self):
         l1 = verify_chain_link(6, 2)
