@@ -2,9 +2,9 @@
 
 For P(m, n) = prod_{x <= m} (x^(2^n) + 1), this package computes exact
 prime-power valuations, certifies the congruence-system bound p <= 2(x+1),
-verifies the anchored chain showing every P(m, 2) has a prime of order at
-most 4 for m up to 2.87e12, and spot-checks the analytic estimates that
-extend the statement beyond that range.
+verifies the anchored chains giving every P(m, n), n = 2 and 3, a prime of
+order at most 2^n for m up to max(10^12, 4^(n+1)), and spot-checks the
+analytic estimates that extend the statement beyond that range.
 """
 
 from .analytic import (

@@ -22,11 +22,12 @@ from .check import Check
 from .errors import (
     CertificateError,
     HypothesisUnmetError,
+    InfeasibleSizeError,
     InvalidSystemError,
     TooFewRootsError,
 )
 from .ntcore import is_prime, lifted_roots, roots_of_minus_one
-from .partitions import big_n, enumerate_partitions, r_bound
+from .partitions import PARTITION_MAX_N, big_n, enumerate_partitions, r_bound
 
 
 @dataclass(frozen=True)
@@ -392,8 +393,11 @@ def prime_bound_search(n: int, p_limit: int, x_limit: int, single_x_limit: int) 
     Passes when neither counterexample_search(n, p_limit, x_limit) nor
     single_entry_search(n, single_x_limit) finds one.  Every system of
     iter_realizable_systems gets its certificate from check_prime_bound,
-    which raises CertificateError if one fails.
+    which raises CertificateError if one fails.  n above PARTITION_MAX_N
+    raises InfeasibleSizeError.
     """
+    if n > PARTITION_MAX_N:
+        raise InfeasibleSizeError(f"cyclotomic supported for n <= {PARTITION_MAX_N}, got n={n}")
     counterexample = counterexample_search(n, p_limit, x_limit)
     systems = 0
     for system in iter_realizable_systems(n, p_limit, x_limit):

@@ -23,7 +23,7 @@ aggregates the stored prefix.  Every query checks its exponent sum for
 each split p <= m against alpha_p; sizes past TABLE_CAP or VALUE_BITS_CAP
 are refused before any factoring.  Chain links certify that a single
 anchored prime keeps some order at most 2^n across a verified interval of
-m; verify_chain joins them greedily.
+m; verify_chain joins them greedily up to the theorem's max(10^12, 4^(n+1)).
 """
 
 from __future__ import annotations
@@ -651,31 +651,31 @@ def _next_link(n: int, frontier: int, cap: int) -> ChainLink | None:
 def verify_chain(n: int) -> Check:
     """Verify that every P(m, n) has a prime of order at most n*2^(n-1).
 
-    The trivial prefix m <= n*2^n needs no link: ord_2(P(m, n)) = ceil(m/2)
-    stays within n*2^(n-1) there, and step tiny_range_ord2 computes it
-    directly for every m below the first anchor (with no anchor, for m up to
-    min(n*2^n, cap)).  Links are then found greedily: from the frontier f,
-    the largest even anchor a <= min(f+1, cap) whose link covers past f,
-    where cap is the largest a with a^(2^n)+1 below is_prime's 2^64 limit.
-    The frontier grows with every link, and the search stops once it reaches
-    the cap or when no anchor extends it (a gap).  The chain proves the claim
-    when it has no gap, its bound 2^n is at most n*2^(n-1), and the analytic
-    crossing is at most min(10^12, covered_through + 1), so that the closing
-    inequality holds at every larger m.  At n = 2 the anchors are 6 and 1302.
-    The Check's detail holds the links, the coverage, both order bounds and
-    the steps, {"name", "pass", "detail"} dicts in proof order.
+    The paper proves it for m > target = max(10^12, 4^(n+1)); the chain
+    covers m <= target.  The prefix m <= n*2^n needs no link: step
+    tiny_range_ord2 lists ord_2(P(m, n)) = alpha_two(m, n) = ceil(m/2) <=
+    n*2^(n-1) below the first anchor (with no anchor, up to min(n*2^n, cap)).
+    While the frontier f is below target, the next link is the largest even
+    anchor a <= min(f+1, cap) covering past f, cap being the largest a with
+    a^(2^n)+1 below is_prime's 2^64 limit; when none extends f the chain has
+    a gap.  The claim is proved when there is no gap, 2^n <= n*2^(n-1), and
+    covered_through >= target; the handoff also checks the theorem's
+    constant (the analytic crossing is at most 10^12).  The anchors are 6
+    and 1302 at n = 2, 4 and 242 at n = 3.  The Check's detail holds the
+    links, the coverage, both order bounds and the steps, {"name", "pass",
+    "detail"} dicts in proof order.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     e = 1 << n
     needed = n << (n - 1)
     cap = _anchor_cap(n)
+    target = max(10**12, 4 ** (n + 1))
     frontier = n << n  # ceil(m/2) <= n*2^(n-1) iff m <= n*2^n
     links: list[dict] = []
     steps = []
     gap = None
-    # the trivial prefix may already pass the cap (n = 4, 5); one link can still carry it far
-    while not links or frontier < cap:
+    while frontier < target:
         link = _next_link(n, frontier, cap)
         if link is None:
             gap = [frontier + 1, frontier + 1]
@@ -683,21 +683,17 @@ def verify_chain(n: int) -> Check:
         detail = {"p": link.p, "next_roots": list(link.next_roots), "cover_hi": link.cover_hi}
         ok = link.anchor <= frontier + 1 and link.cover_hi > frontier
         steps.append({"name": f"link_anchor_{link.anchor}", "pass": ok, "detail": detail})
-        links.append({"anchor": link.anchor, "p": link.p, "next_roots": list(link.next_roots),
-                      "cover_hi": link.cover_hi})
+        links.append({"anchor": link.anchor} | detail)
         frontier = link.cover_hi
 
     first = links[0]["anchor"] if links else min(n << n, cap) + 1
-    prod, ord2 = 1, []
-    for m in range(1, first):
-        prod *= m**e + 1
-        ord2.append((prod & -prod).bit_length() - 1)
-    tiny_ok = ord2 == [alpha_two(m, n) for m in range(1, first)] and max(ord2, default=0) <= needed
+    ord2 = [alpha_two(m, n) for m in range(1, first)]
+    tiny_ok = max(ord2, default=0) <= needed
     steps.insert(0, {"name": "tiny_range_ord2", "pass": tiny_ok, "detail": {"ord2": ord2}})
 
-    # the closing inequality is stated for n >= 2 only
+    # the closing inequality is stated for n >= 2 only; its crossing checks the theorem's constant
     crossing = final_inequality_crossing(n) if n >= 2 else None
-    handoff_ok = crossing is not None and crossing <= min(10**12, frontier + 1)
+    handoff_ok = frontier >= target and crossing is not None and crossing <= 10**12
     detail = {"crossing": crossing, "chain_cover_hi": frontier}
     steps.append({"name": "asymptotic_handoff", "pass": handoff_ok, "detail": detail})
     payload = {

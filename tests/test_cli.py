@@ -76,13 +76,24 @@ class TestChain:
         assert doc["payload"]["bound_sufficient"] is False
 
     def test_octic_discovery(self, capsys):
-        # the only certifiable anchors stop at 255, far short of the crossing
+        # 242^8+1 lies below 2^64, and its link carries the chain past 4^4 and 10^12
         code, out = run(capsys, "chain", "3", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert [link["anchor"] for link in doc["payload"]["links"]] == [4, 242]
+        assert doc["payload"]["links"][1]["p"] == 242**8 + 1 < 1 << 64
+        assert doc["payload"]["bound_sufficient"] is True
+        assert doc["payload"]["covered_through"] == 11763130845074473458
+        steps = {s["name"]: s for s in doc["payload"]["steps"]}
+        assert steps["asymptotic_handoff"]["pass"] is True
+
+    def test_level_four_reports_its_gap(self, capsys):
+        # every anchor a <= 15 with a^16+1 below 2^64 falls short of m = 65539
+        code, out = run(capsys, "chain", "4", "--json")
         assert code == 1
         doc = json.loads(out)
-        assert doc["payload"]["links"][0]["p"] == 65537
-        assert doc["payload"]["bound_sufficient"] is True
-        assert doc["payload"]["covered_through"] == 65540
+        assert doc["payload"]["covered_through"] == 65538
+        assert doc["payload"]["gap"] == [65539, 65539]
 
     @pytest.mark.parametrize("n", ["4", "5"])
     def test_refused_anchor_is_not_a_usage_error(self, capsys, monkeypatch, n):
@@ -105,14 +116,14 @@ class TestChain:
 
     @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3, 4, 5, 6, 7, 8, 64, 1100, 2000, 14000, 20000])
     def test_every_level_exits_cleanly(self, capsys, n):
-        # 2 for a level below 1, else a full report: 0 only at n = 2
+        # 2 for a level below 1, else a full report: 0 only at n = 2 and 3
         code = main(["chain", str(n), "--json"])
         out, err = capsys.readouterr()
         if n == 20000:
             # trivial_through = n*2^n has more digits than Python prints: refused, not a traceback
             assert (code, out) == (2, "") and err.startswith("infeasible:"), err
             return
-        assert code == (2 if n < 1 else 0 if n == 2 else 1), n
+        assert code == (2 if n < 1 else 0 if n in (2, 3) else 1), n
         if n >= 1:
             assert json.loads(out)["payload"]["steps"] and not err
 
@@ -193,6 +204,16 @@ class TestCyclotomic:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("infeasible:")
+
+    @pytest.mark.parametrize("n,expected", [(-1, 2), (0, 2), (1, 0), (20, 0), (21, 2), (40, 2)])
+    def test_every_level_exits_at_once(self, capsys, n, expected):
+        # past PARTITION_MAX_N the single-entry bound forms 2^big_n(n), so such n are refused first
+        zero = ["--p-limit", "0", "--x-limit", "0", "--single-x-limit", "0"]
+        code = main(["cyclotomic", "--n", str(n), *zero, "--json"])
+        out, err = capsys.readouterr()
+        assert code == expected, n
+        if n > PARTITION_MAX_N:
+            assert out == "" and len(err.splitlines()) == 1 and err.startswith("infeasible:")
 
 
 class TestAnalytic:

@@ -534,6 +534,27 @@ class TestChainLinks:
             frontier = link.cover_hi
         assert rep.detail["covered_through"] == frontier
 
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_links_against_brute_force_orders(self, n):
+        # ord_p(P(m, n)) by repeated division over every x <= m, for m up to 3*10^4
+        e, top = 1 << n, 3 * 10**4
+        for link in verify_chain(n).detail["links"]:
+            order = 0
+            for x in range(1, min(link["cover_hi"], top) + 1):
+                order += ord_in(link["p"], x**e + 1)
+                if x >= link["anchor"]:
+                    assert 1 <= order <= e, (link["p"], x)
+
+    def test_handoff_needs_the_theorems_range(self, monkeypatch):
+        # a chain ending at 5*10^11 passes the crossing (about 4.6e11) but not 10^12
+        short = ChainLink(6, 2, 1297, (216, 1081, 1291, 1303), 5 * 10**11)
+        found = iter([short])
+        monkeypatch.setattr(prodorders, "_next_link", lambda n, frontier, cap: next(found, None))
+        rep = verify_chain(2)
+        steps = {s["name"]: s for s in rep.detail["steps"]}
+        assert not rep.passed
+        assert steps["asymptotic_handoff"]["pass"] is False
+
     def test_one_primality_test_per_candidate(self, monkeypatch):
         calls = []
         real = prodorders.is_prime
