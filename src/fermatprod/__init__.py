@@ -3,7 +3,8 @@
 For P(m, n) = prod_{x <= m} (x^(2^n) + 1), this package computes exact
 prime-power valuations, certifies the congruence-system bound p <= 2(x+1),
 verifies the anchored chains giving every P(m, n), n = 2 and 3, a prime of
-order at most 2^n for m up to max(10^12, 4^(n+1)), and spot-checks the
+order at most 2^n for m up to max(10^12, 4^(n+1)) (one link search, each
+next root checked once mod p^2 for order exactly 1), and spot-checks the
 analytic estimates that extend the statement beyond that range.
 """
 
@@ -45,7 +46,6 @@ from .partitions import (
     verify_minimality,
 )
 from .prodorders import (
-    ChainLink,
     ValuationTable,
     alpha_p,
     alpha_two,
@@ -54,7 +54,6 @@ from .prodorders import (
     build_valuation_table,
     is_qth_power_obstructed,
     verify_chain,
-    verify_chain_link,
 )
 
 __version__ = "0.1.0"
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Check",
     "CongruenceSystem",
-    "ChainLink",
     "Partition",
     "RootSet",
     "ValuationTable",
@@ -97,6 +95,5 @@ __all__ = [
     "single_entry_search",
     "theta_ap",
     "verify_chain",
-    "verify_chain_link",
     "verify_minimality",
 ]

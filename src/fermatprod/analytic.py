@@ -154,15 +154,11 @@ def get_sieve(limit: int) -> SievedPrimes:
         return sv
 
 
-def _count_upto(x: int, sieve: SievedPrimes) -> int:
+def pi(x: int, sieve: SievedPrimes) -> int:
+    """Number of primes <= x."""
     if x > sieve.limit:
         raise BeyondSieveError(f"x={x} beyond sieved limit {sieve.limit}")
     return int(np.searchsorted(sieve.primes, x, side="right"))
-
-
-def pi(x: int, sieve: SievedPrimes) -> int:
-    """Number of primes <= x."""
-    return _count_upto(x, sieve)
 
 
 def _in_class(x: int, q: int, a: int, sieve: SievedPrimes) -> tuple[np.ndarray, np.ndarray]:
@@ -173,7 +169,7 @@ def _in_class(x: int, q: int, a: int, sieve: SievedPrimes) -> tuple[np.ndarray, 
     """
     if gcd(a, q) != 1:
         raise ValueError(f"need gcd(a, q) = 1, got a={a}, q={q}")
-    k = _count_upto(x, sieve)
+    k = pi(x, sieve)
     return sieve.primes[:k], sieve.residues(q)[:k] == a % q
 
 

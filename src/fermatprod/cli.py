@@ -107,7 +107,7 @@ def _cmd_orders(args) -> tuple[dict, Check]:
         "is_perfect_qth_power": not obstructed,
     }
     if args.dump_alpha or args.m <= 50:
-        payload["alpha"] = {str(p): a for p, a in sorted(table.alpha.items())}
+        payload["alpha"] = {str(p): a for p, a in table.alpha.items()}
     return {"m": args.m, "n": args.n, "q": q}, Check("orders", True, payload)
 
 

@@ -196,7 +196,6 @@ def check_prime_bound(sys: CongruenceSystem) -> BoundCertificate:
             f"total order {sys.total_order} below forcing total {need}"
         )
     x = sys.x_max
-    holds = p <= 2 * (x + 1)
 
     ks = [k for _, k in sys.entries]
     best = None
@@ -235,10 +234,6 @@ def check_prime_bound(sys: CongruenceSystem) -> BoundCertificate:
         if p > 2 * (x + 1):
             raise CertificateError("norm-branch conclusion failed")
         cert = BoundCertificate("norm", r, m, pp, nb, limit, wit.u, wit.v, wit.t)
-
-    if not holds:
-        # both branches above would have raised first
-        raise CertificateError("certificate verified yet p > 2(x+1)")
     return cert
 
 

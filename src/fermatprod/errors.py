@@ -42,17 +42,5 @@ class CertificateError(FermatprodError):
     """A bound certificate failed to verify; signals an implementation bug."""
 
 
-class AnchorNotPrimeError(FermatprodError):
-    """a^(2^n) + 1 is composite, so a cannot anchor a chain link."""
-
-
-class AnchorParityError(FermatprodError):
-    """Chain anchors must be even (odd a makes a^(2^n)+1 even and composite)."""
-
-
-class ChainBreakError(FermatprodError):
-    """A chain link failed verification or the chain leaves a gap."""
-
-
 class BeyondSieveError(FermatprodError):
     """The query point lies beyond the sieved range."""

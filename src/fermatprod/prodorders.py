@@ -21,9 +21,11 @@ residuals, smaller batches and composites the batch leaves open go to
 Pollard-Brent rho on Python integers.  A query at or below m_done
 aggregates the stored prefix.  Every query checks its exponent sum for
 each split p <= m against alpha_p; sizes past TABLE_CAP or VALUE_BITS_CAP
-are refused before any factoring.  Chain links certify that a single
-anchored prime keeps some order at most 2^n across a verified interval of
-m; verify_chain joins them greedily up to the theorem's max(10^12, 4^(n+1)).
+are refused before any factoring.  A chain link is a plain dict from one
+search routine: an anchored prime p = a^(2^n)+1 whose next roots each pass
+a single mod-p^2 check of order exactly 1, so that ord_p(P(m, n)) <= 2^n
+across a verified interval of m; verify_chain joins links greedily up to
+the theorem's max(10^12, 4^(n+1)).
 """
 
 from __future__ import annotations
@@ -38,19 +40,12 @@ import numpy as np
 
 from .analytic import final_inequality_crossing, primes_upto
 from .check import Check
-from .errors import (
-    AnchorNotPrimeError,
-    AnchorParityError,
-    ChainBreakError,
-    InfeasibleSizeError,
-    InternalRefusalError,
-)
+from .errors import InfeasibleSizeError, InternalRefusalError
 from .ntcore import (
     PRIMALITY_LIMIT,
     count_roots_upto,
     is_prime,
     is_probable_prime,
-    lifted_roots,
     roots_of_minus_one,
 )
 
@@ -305,7 +300,7 @@ def _factor_residuals(vs: list[int], k: int, proven: int) -> list[tuple[int, int
 
 @dataclass(frozen=True, eq=True)
 class ValuationTable:
-    """Nonzero map p -> ord_p(P(m, n)); the product of p^alpha_p is P(m, n)."""
+    """Nonzero map p -> ord_p(P(m, n)), ascending in p; the product of p^alpha_p is P(m, n)."""
 
     m: int
     n: int
@@ -578,53 +573,6 @@ def is_qth_power_obstructed(table: ValuationTable, q: int) -> bool:
 # --- chain links ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainLink:
-    """Anchor a with p = a^(2^n)+1 prime and the next 2^n solutions past a.
-
-    For every m in [anchor, cover_hi] at most 2^n values x <= m satisfy
-    p | x^(2^n)+1, each with order exactly 1, so ord_p(P(m, n)) <= 2^n there.
-    """
-
-    anchor: int
-    n: int
-    p: int
-    next_roots: tuple[int, ...]
-    cover_hi: int
-
-
-def verify_chain_link(a: int, n: int) -> ChainLink:
-    """Build and verify the chain link anchored at even a with a^(2^n)+1 prime.
-
-    The 2^n next solutions are computed from the root classes mod p by
-    exponentiation, never by scanning.  The anchor and every next root below
-    cover_hi must have order exactly 1 (equivalently: none meets a lifted
-    root mod p^2); the largest next root only sets the frontier and may
-    carry a higher order, since it never divides a product in the covered
-    range.
-    """
-    if a < 2 or a % 2:
-        raise AnchorParityError(f"anchor must be even and >= 2, got {a}")
-    e = 1 << n
-    p = a**e + 1
-    if not is_prime(p):
-        raise AnchorNotPrimeError(f"{a}^(2^{n})+1 = {p} is composite")
-    rs = roots_of_minus_one(n, p)
-    if a not in rs.roots or min(rs.roots) != a:
-        # impossible: any root r has r^(2^n)+1 >= p, forcing r >= a
-        raise ChainBreakError(f"anchor {a} is not the least root mod {p}")
-    nxt = tuple(sorted(r + p if r <= a else r for r in rs.roots))
-    sq = lifted_roots(n, p, 2).roots
-    p2 = p * p
-    for x in nxt[:-1]:
-        v = x**e + 1
-        if v % p or (v // p) % p == 0:
-            raise ChainBreakError(f"ord_{p}({x}^(2^{n})+1) is not 1")
-        if x % p2 in sq:
-            raise ChainBreakError(f"{x} meets a root mod {p}^2")
-    return ChainLink(anchor=a, n=n, p=p, next_roots=nxt, cover_hi=max(nxt) - 1)
-
-
 def _anchor_cap(n: int) -> int:
     """Largest a with a^(2^n)+1 below is_prime's limit 2^64: the n-fold isqrt of 2^64 - 2."""
     cap = PRIMALITY_LIMIT - 2
@@ -635,16 +583,29 @@ def _anchor_cap(n: int) -> int:
     return cap
 
 
-def _next_link(n: int, frontier: int, cap: int) -> ChainLink | None:
-    """The link at the largest even anchor a <= min(frontier+1, cap) covering past frontier."""
+def _next_link(n: int, frontier: int, cap: int) -> dict | None:
+    """The link at the largest even anchor a <= min(frontier+1, cap) covering past frontier.
+
+    A link is {"anchor", "p", "next_roots", "cover_hi"}: p = a^(2^n)+1 is
+    prime, and next_roots are the 2^n solutions of p | x^(2^n)+1 just past
+    a, taken from the roots mod p (a itself is the least root, since any
+    root r has r^(2^n)+1 >= p).  Each next root but the largest must have
+    order exactly 1 at p, checked once as x^(2^n) = -1 mod p but not mod
+    p^2; then at most 2^n values x <= m meet p, each once, so
+    ord_p(P(m, n)) <= 2^n for every m in [a, cover_hi], cover_hi being the
+    largest next root minus 1.  A candidate failing either test is skipped.
+    """
+    e = 1 << n
     top = min(frontier + 1, cap)
     for a in range(top - top % 2, 1, -2):
-        try:
-            link = verify_chain_link(a, n)
-        except (AnchorNotPrimeError, ChainBreakError):
-            continue  # a^(2^n)+1 is composite, or some next root has order > 1
-        if link.cover_hi > frontier:
-            return link
+        p = a**e + 1
+        if not is_prime(p):
+            continue
+        nxt = sorted(r + p if r <= a else r for r in roots_of_minus_one(n, p).roots)
+        p2 = p * p
+        orders_one = all((t := pow(x, e, p2)) % p == p - 1 and t != p2 - 1 for x in nxt[:-1])
+        if orders_one and nxt[-1] - 1 > frontier:
+            return {"anchor": a, "p": p, "next_roots": nxt, "cover_hi": nxt[-1] - 1}
     return None
 
 
@@ -655,10 +616,11 @@ def verify_chain(n: int) -> Check:
     covers m <= target.  The prefix m <= n*2^n needs no link: step
     tiny_range_ord2 lists ord_2(P(m, n)) = alpha_two(m, n) = ceil(m/2) <=
     n*2^(n-1) below the first anchor (with no anchor, up to min(n*2^n, cap)).
-    While the frontier f is below target, the next link is the largest even
-    anchor a <= min(f+1, cap) covering past f, cap being the largest a with
-    a^(2^n)+1 below is_prime's 2^64 limit; when none extends f the chain has
-    a gap.  The claim is proved when there is no gap, 2^n <= n*2^(n-1), and
+    While the frontier f is below target, _next_link returns the link at
+    the largest even anchor a <= min(f+1, cap) covering past f, cap being
+    the largest a with a^(2^n)+1 below is_prime's 2^64 limit; its next roots
+    pass one mod-p^2 check of order exactly 1, and each step re-checks that
+    the link joins f.  When no link extends f the chain has a gap.  The claim is proved when there is no gap, 2^n <= n*2^(n-1), and
     covered_through >= target; the handoff also checks the theorem's
     constant (the analytic crossing is at most 10^12).  The anchors are 6
     and 1302 at n = 2, 4 and 242 at n = 3.  The Check's detail holds the
@@ -680,11 +642,11 @@ def verify_chain(n: int) -> Check:
         if link is None:
             gap = [frontier + 1, frontier + 1]
             break
-        detail = {"p": link.p, "next_roots": list(link.next_roots), "cover_hi": link.cover_hi}
-        ok = link.anchor <= frontier + 1 and link.cover_hi > frontier
-        steps.append({"name": f"link_anchor_{link.anchor}", "pass": ok, "detail": detail})
-        links.append({"anchor": link.anchor} | detail)
-        frontier = link.cover_hi
+        ok = link["anchor"] <= frontier + 1 and link["cover_hi"] > frontier
+        detail = {k: link[k] for k in ("p", "next_roots", "cover_hi")}
+        steps.append({"name": f"link_anchor_{link['anchor']}", "pass": ok, "detail": detail})
+        links.append(link)
+        frontier = link["cover_hi"]
 
     first = links[0]["anchor"] if links else min(n << n, cap) + 1
     ord2 = [alpha_two(m, n) for m in range(1, first)]

@@ -8,7 +8,6 @@ from math import isqrt
 import numpy as np
 
 from fermatprod.cyclotomic import CongruenceSystem
-from fermatprod.errors import ChainBreakError
 from fermatprod.ntcore import is_prime
 from fermatprod.partitions import big_n, enumerate_partitions, extreme_partition, r_bound
 
@@ -285,27 +284,18 @@ def primitive_roots_integrally_independent(m: int, n: int) -> bool:
     return rank == len(cols)
 
 
-def validate_chain_link(link) -> None:
-    """Re-verify a ChainLink from its fields alone; raises ChainBreakError."""
-    if link.anchor < 2 or link.anchor % 2:
-        raise ChainBreakError(f"anchor {link.anchor} has wrong parity")
-    e = 1 << link.n
-    if link.p != link.anchor**e + 1 or not is_prime(link.p):
-        raise ChainBreakError(f"{link.p} is not the anchor's prime")
-    if len(link.next_roots) != e:
-        raise ChainBreakError(f"expected {e} next roots, got {len(link.next_roots)}")
-    classes = set()
-    top = max(link.next_roots)
-    for x in link.next_roots:
-        if not link.anchor < x <= link.anchor + link.p:
-            raise ChainBreakError(f"{x} is not the next member of its class")
+def validate_chain_link(n: int, link: dict) -> None:
+    """Re-verify a level-n chain link dict from its fields alone; raises AssertionError."""
+    a, p, nxt = link["anchor"], link["p"], link["next_roots"]
+    assert a >= 2 and a % 2 == 0, f"anchor {a} has wrong parity"
+    e = 1 << n
+    assert p == a**e + 1 and is_prime(p), f"{p} is not the anchor's prime"
+    assert len(nxt) == e, f"expected {e} next roots, got {len(nxt)}"
+    top = max(nxt)
+    for x in nxt:
+        assert a < x <= a + p, f"{x} is not the next member of its class"
         v = x**e + 1
-        if v % link.p:
-            raise ChainBreakError(f"{link.p} does not divide {x}^(2^{link.n})+1")
-        if x < top and (v // link.p) % link.p == 0:
-            raise ChainBreakError(f"ord of {x}^(2^{link.n})+1 at {link.p} is not 1")
-        classes.add(x % link.p)
-    if len(classes) != e:
-        raise ChainBreakError("next roots do not cover distinct residue classes")
-    if link.cover_hi != max(link.next_roots) - 1:
-        raise ChainBreakError("cover_hi does not match the largest next root")
+        assert v % p == 0, f"{p} does not divide {x}^(2^{n})+1"
+        assert x == top or (v // p) % p, f"ord of {x}^(2^{n})+1 at {p} is not 1"
+    assert len({x % p for x in nxt}) == e, "next roots do not cover distinct residue classes"
+    assert link["cover_hi"] == top - 1, "cover_hi does not match the largest next root"

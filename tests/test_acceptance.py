@@ -33,7 +33,7 @@ from fermatprod.prodorders import (
     alpha_two,
     build_valuation_table,
     is_qth_power_obstructed,
-    verify_chain_link,
+    verify_chain,
 )
 from oracles import minimality_by_enumeration, product_value
 
@@ -45,33 +45,36 @@ def report(num, ok, detail):
 
 def test_criterion_01_chain_link_anchor_6():
     start = time.perf_counter()
-    link = verify_chain_link(6, 2)
+    link = verify_chain(2).detail["links"][0]
     elapsed = time.perf_counter() - start
+    roots = link["next_roots"]
     ok = (
-        link.p == 1297
-        and is_prime(link.p)
-        and link.next_roots == (216, 1081, 1291, 1303)
-        and all((x**4 + 1) % 1297 == 0 and ((x**4 + 1) // 1297) % 1297 for x in link.next_roots)
-        and link.cover_hi == 1302
+        link["anchor"] == 6
+        and link["p"] == 1297
+        and is_prime(link["p"])
+        and roots == [216, 1081, 1291, 1303]
+        and all((x**4 + 1) % 1297 == 0 and ((x**4 + 1) // 1297) % 1297 for x in roots)
+        and link["cover_hi"] == 1302
         and elapsed < 1.0
     )
-    report(1, ok, f"link(6,2): p=1297, roots {link.next_roots}, cover 1302, {elapsed:.3f}s")
+    report(1, ok, f"link(6,2): p=1297, roots {roots}, cover 1302, {elapsed:.3f}s")
 
 
 def test_criterion_02_chain_link_anchor_1302():
     start = time.perf_counter()
-    link = verify_chain_link(1302, 2)
+    link = verify_chain(2).detail["links"][1]
     elapsed = time.perf_counter() - start
-    expected = (2207155608, 2871509446009, 2873716600315, 2873716602919)
+    expected = [2207155608, 2871509446009, 2873716600315, 2873716602919]
     ok = (
-        link.p == 2873716601617
-        and is_prime(link.p)
-        and link.next_roots == expected
-        and link.cover_hi == 2873716602918
-        and link.cover_hi > 10**12
+        link["anchor"] == 1302
+        and link["p"] == 2873716601617
+        and is_prime(link["p"])
+        and link["next_roots"] == expected
+        and link["cover_hi"] == 2873716602918
+        and link["cover_hi"] > 10**12
         and elapsed < 1.0
     )
-    report(2, ok, f"link(1302,2): p={link.p}, cover {link.cover_hi} > 1e12, {elapsed:.3f}s")
+    report(2, ok, f"link(1302,2): p={link['p']}, cover {link['cover_hi']} > 1e12, {elapsed:.3f}s")
 
 
 def test_criterion_03_square_base_case():

@@ -10,20 +10,14 @@ import numpy as np
 import pytest
 
 from fermatprod import prodorders
-from fermatprod.ntcore import is_prime, is_probable_prime, roots_of_minus_one
+from fermatprod.ntcore import RootSet, is_prime, is_probable_prime, lifted_roots, roots_of_minus_one
 
 from fermatprod.analytic import primes_upto
-from fermatprod.errors import (
-    AnchorNotPrimeError,
-    AnchorParityError,
-    ChainBreakError,
-    InfeasibleSizeError,
-    InternalRefusalError,
-)
+from fermatprod.errors import InfeasibleSizeError, InternalRefusalError
 from fermatprod.prodorders import (
-    ChainLink,
     _anchor_cap,
     _factor_residuals,
+    _next_link,
     _split_composites,
     alpha_p,
     alpha_two,
@@ -32,7 +26,6 @@ from fermatprod.prodorders import (
     build_valuation_table,
     is_qth_power_obstructed,
     verify_chain,
-    verify_chain_link,
 )
 from oracles import product_value, validate_chain_link
 
@@ -115,6 +108,13 @@ class TestValuationTable:
             for p in table.alpha:
                 assert p == 2 or (p - 1) % step == 0
                 assert p <= m ** (1 << n) + 1
+
+    @pytest.mark.parametrize("m,n", [(2000, 1), (1500, 2), (500, 3), (64, 4)])
+    def test_alpha_ascending_in_p(self, m, n):
+        # the orders payload prints alpha in this order; (500, 3) and (64, 4) hold
+        # Python-int (object dtype) primes
+        t = build_valuation_table(m, n)
+        assert list(t.alpha) == sorted(t.alpha)
 
     def test_infeasible_cap(self):
         with pytest.raises(InfeasibleSizeError):
@@ -447,54 +447,72 @@ class TestCofactorMachinery:
         check()
 
 
+LINK_6 = {"anchor": 6, "p": 1297, "next_roots": [216, 1081, 1291, 1303], "cover_hi": 1302}
+
+
 class TestChainLinks:
     def test_quartic_link_anchor_6(self):
-        link = verify_chain_link(6, 2)
-        assert link.p == 1297
-        assert link.next_roots == (216, 1081, 1291, 1303)
-        assert link.cover_hi == 1302
+        link = verify_chain(2).detail["links"][0]
+        assert link["anchor"] == 6
+        assert link["p"] == 1297
+        assert link["next_roots"] == [216, 1081, 1291, 1303]
+        assert link["cover_hi"] == 1302
 
     def test_quartic_link_anchor_1302(self):
-        link = verify_chain_link(1302, 2)
-        assert link.p == 2873716601617
-        assert link.next_roots == (
+        link = verify_chain(2).detail["links"][1]
+        assert link["anchor"] == 1302
+        assert link["p"] == 2873716601617
+        assert link["next_roots"] == [
             2207155608,
             2871509446009,
             2873716600315,
             2873716602919,
-        )
-        assert link.cover_hi == 2873716602918
+        ]
+        assert link["cover_hi"] == 2873716602918
 
     def test_quadratic_link(self):
-        link = verify_chain_link(2, 1)
-        assert link.p == 5 and link.next_roots == (3, 7) and link.cover_hi == 6
+        link = verify_chain(1).detail["links"][0]
+        assert link == {"anchor": 2, "p": 5, "next_roots": [3, 7], "cover_hi": 6}
 
     def test_anchor_errors(self):
-        with pytest.raises(AnchorParityError):
-            verify_chain_link(5, 2)
-        with pytest.raises(AnchorNotPrimeError):
-            verify_chain_link(8, 2)  # 4097 = 17 * 241
+        # a = 8 is tried first and skipped: 4097 = 17 * 241
+        assert _next_link(2, 8, _anchor_cap(2)) == LINK_6
+
+    @pytest.mark.parametrize("half", ["mod_p", "mod_p2"])
+    def test_order_one_check_skips_anchor(self, monkeypatch, half):
+        # plant in the root set of 1297 = 6^4+1 either a non-root (the largest root minus 1) or
+        # two roots lifted mod 1297^2, of order >= 2, the smaller not the exempt last solution:
+        # anchor 6 fails that half of the order-1 check and the search falls back to anchor 4
+        real = prodorders.roots_of_minus_one
+        lifts = lifted_roots(2, 1297, 2).roots
+
+        def planted(n, p):
+            rs = real(n, p)
+            if (n, p) != (2, 1297):
+                return rs
+            if half == "mod_p":
+                return RootSet(n, p, rs.roots[:-1] + (rs.roots[-1] - 1,))
+            return RootSet(n, p, rs.roots[:2] + lifts[:2])
+
+        monkeypatch.setattr(prodorders, "roots_of_minus_one", planted)
+        link = _next_link(2, 8, _anchor_cap(2))
+        assert link == {"anchor": 4, "p": 257, "next_roots": [64, 193, 253, 261], "cover_hi": 260}
 
     def test_tampered_link_rejected(self):
-        good = verify_chain_link(6, 2)
-        validate_chain_link(good)
-        tampered = ChainLink(
-            anchor=6, n=2, p=1297, next_roots=(216, 1081, 1290, 1303), cover_hi=1302
-        )
-        with pytest.raises(ChainBreakError):
-            validate_chain_link(tampered)
-        wrong_cover = ChainLink(
-            anchor=6, n=2, p=1297, next_roots=(216, 1081, 1291, 1303), cover_hi=1200
-        )
-        with pytest.raises(ChainBreakError):
-            validate_chain_link(wrong_cover)
+        validate_chain_link(2, verify_chain(2).detail["links"][0])
+        tampered = LINK_6 | {"next_roots": [216, 1081, 1290, 1303]}
+        with pytest.raises(AssertionError):
+            validate_chain_link(2, tampered)
+        wrong_cover = LINK_6 | {"cover_hi": 1200}
+        with pytest.raises(AssertionError):
+            validate_chain_link(2, wrong_cover)
 
     def test_coverage_claim_directly(self):
         # within the covered range the anchored prime's order stays at most 4
-        link = verify_chain_link(6, 2)
+        p = verify_chain(2).detail["links"][0]["p"]
         for m in (6, 216, 500, 1081, 1302):
-            assert alpha_p(m, 2, link.p) <= 4
-        assert alpha_p(1302, 2, link.p) == 4
+            assert alpha_p(m, 2, p) <= 4
+        assert alpha_p(1302, 2, p) == 4
 
     def test_quartic_chain_report(self):
         rep = verify_chain(2)
@@ -523,15 +541,15 @@ class TestChainLinks:
 
         rep = verify_chain(n)
         frontier = rep.detail["trivial_through"]
-        for doc in rep.detail["links"]:
-            link = ChainLink(doc["anchor"], n, doc["p"], tuple(doc["next_roots"]), doc["cover_hi"])
-            validate_chain_link(link)
-            assert sympy.isprime(link.p)
-            roots = sorted(nthroot_mod(link.p - 1, 1 << n, link.p, all_roots=True))
-            assert roots[0] == link.anchor
-            assert list(link.next_roots) == sorted(r + link.p if r <= link.anchor else r for r in roots)
-            assert link.anchor <= frontier + 1 and link.cover_hi > frontier
-            frontier = link.cover_hi
+        for link in rep.detail["links"]:
+            validate_chain_link(n, link)
+            a, p = link["anchor"], link["p"]
+            assert sympy.isprime(p)
+            roots = sorted(nthroot_mod(p - 1, 1 << n, p, all_roots=True))
+            assert roots[0] == a
+            assert link["next_roots"] == sorted(r + p if r <= a else r for r in roots)
+            assert a <= frontier + 1 and link["cover_hi"] > frontier
+            frontier = link["cover_hi"]
         assert rep.detail["covered_through"] == frontier
 
     @pytest.mark.parametrize("n", range(1, 5))
@@ -547,7 +565,7 @@ class TestChainLinks:
 
     def test_handoff_needs_the_theorems_range(self, monkeypatch):
         # a chain ending at 5*10^11 passes the crossing (about 4.6e11) but not 10^12
-        short = ChainLink(6, 2, 1297, (216, 1081, 1291, 1303), 5 * 10**11)
+        short = LINK_6 | {"cover_hi": 5 * 10**11}
         found = iter([short])
         monkeypatch.setattr(prodorders, "_next_link", lambda n, frontier, cap: next(found, None))
         rep = verify_chain(2)
@@ -563,9 +581,8 @@ class TestChainLinks:
         assert calls and len(calls) == len(set(calls))
 
     def test_links_overlap(self):
-        l1 = verify_chain_link(6, 2)
-        l2 = verify_chain_link(1302, 2)
-        assert l2.anchor <= l1.cover_hi  # joint cover of [6, 2873716602918]
+        l1, l2 = verify_chain(2).detail["links"]
+        assert l2["anchor"] <= l1["cover_hi"]  # joint cover of [6, 2873716602918]
 
 
 class TestBoundChecks:
