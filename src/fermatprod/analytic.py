@@ -1,11 +1,16 @@
 """Sieve-backed prime counting and numeric spot-checks of the analytic bounds.
 
-One prime sieve, primes_upto, backs pi, pi(x; q, a) and theta(x; q, a):
-every caller passes the sieve, which get_sieve caches read-only.  It is a
-numpy sieve of Eratosthenes over odd numbers only, with the multiples of
-3..13 struck by a tiled wheel pattern and the other base primes struck one
-cache-sized segment at a time; the test suite checks it against an
-independent pure-Python segmented sieve.  All logarithms are natural.
+One prime store backs pi, pi(x; q, a) and theta(x; q, a): a read-only
+array of every prime up to the largest limit asked for in the process.
+primes_upto(limit) returns a prefix view of it, and get_sieve caches such
+views as sieves, which every caller passes.  A limit past the store grows it
+by a segmented sieve of Eratosthenes (Bays and Hudson, 1977) over the odd
+numbers the store does not reach yet, one cache-sized segment of flags at a
+time: the multiples of 3..13 are struck by a tiled wheel pattern, the other
+base primes are read from the store itself, and each segment's primes are
+written straight into the new store.  So each integer is sieved once per
+process; the test suite checks the store against an independent
+pure-Python segmented sieve.  All logarithms are natural.
 
 A progression query reads the residues of the sieve's primes modulo q from
 a cache kept on the sieve: they are computed once per modulus, one byte per
@@ -30,8 +35,9 @@ from .check import Check
 from .errors import BeyondSieveError, InfeasibleSizeError
 
 DEFAULT_SIEVE_LIMIT = 10_000_000
-# The largest limit primes_upto sieves: 0.5 GB of flags and 0.4 GB of primes
-# at 10^9.  verify-all --long and the sieve benchmark sieve 10^8.
+# The largest limit primes_upto sieves.  The flags exist one segment at a
+# time, but the store keeps 0.4 GB of primes at 10^9 for the process's life.
+# verify-all --long and the sieve benchmark sieve 10^8.
 SIEVE_CAP = 10**9
 MARGIN_EPS = 1e-9
 
@@ -96,42 +102,96 @@ _SUM_CHUNK = 1 << _SUM_CHUNK_BITS
 _LIMB_BITS = 63 - _SUM_CHUNK_BITS
 
 
-def primes_upto(limit: int) -> np.ndarray:
-    """All primes <= limit as an ascending int64 array.
-
-    Segmented sieve of Eratosthenes over odd numbers only, one byte per odd
-    number, with the multiples of 3..13 pre-struck by the wheel pattern.
-    A limit above SIEVE_CAP raises InfeasibleSizeError before any allocation.
-    """
+def _refuse_past_cap(limit: int) -> None:
     if limit > SIEVE_CAP:
         raise InfeasibleSizeError(f"sieve limit above SIEVE_CAP = {SIEVE_CAP}")
-    if limit < 2:
-        return np.array([], dtype=np.int64)
-    flags = np.resize(_WHEEL, (limit + 1) // 2)
-    for p in _WHEEL_PRIMES:
-        if p <= limit:
-            flags[p // 2] = True
-    # base primes 17..isqrt(limit), sieved in place from the head of the flags;
-    # a composite left among them would strike nothing new, only waste strides
-    root = isqrt(limit)
-    head = flags[: (root + 1) // 2]
-    for i in range(8, isqrt(root) // 2 + 1):
-        if head[i]:
-            head[2 * i * (i + 1) :: 2 * i + 1] = False  # from p^2, p = 2i + 1
-    base = 2 * np.flatnonzero(head[8:]) + 17
+
+
+def primes_upto(limit: int) -> np.ndarray:
+    """All primes <= limit as an ascending, read-only int64 array.
+
+    A prefix view of the process's prime store, which holds every prime up
+    to the largest limit asked for so far.  A limit past the store grows it
+    first, sieving only the integers the store does not reach yet.  A limit
+    above SIEVE_CAP raises InfeasibleSizeError before any allocation.
+    """
+    _refuse_past_cap(limit)
+    store = _store
+    if limit > store.limit:
+        store = _grow(limit)
+    return store.primes[: np.searchsorted(store.primes, limit, side="right")]
+
+
+# The prime store: every prime up to its limit.  Growth publishes a new store
+# under _store_lock and never mutates a published one, so a reader takes the
+# current store without locking and keeps a consistent snapshot.
+_store = SievedPrimes(1, np.empty(0, dtype=np.int64))
+_store_lock = threading.Lock()
+
+
+def _grow(limit: int) -> SievedPrimes:
+    """Publish a store reaching limit, and drop get_sieve's sieves of the store it replaces."""
+    global _store
+    with _store_lock:
+        store = _store
+        if limit <= store.limit:
+            return store
+        # a growth to s strikes with the primes up to isqrt(s), read from the
+        # store, so first reach isqrt(limit), isqrt(isqrt(limit)), ...
+        steps = [limit]
+        while isqrt(steps[-1]) > store.limit:
+            steps.append(isqrt(steps[-1]))
+        for step in reversed(steps):
+            store = _extended(store, step)
+        _store = store
+        _drop_cached_sieves()
+        return store
+
+
+def _extended(store: SievedPrimes, limit: int) -> SievedPrimes:
+    """The store followed by the primes in (store.limit, limit]; store.limit >= isqrt(limit).
+
+    Only the odd numbers past store.limit are sieved, one segment of flags
+    at a time: the wheel pattern tiled from the segment's phase, then the
+    base primes 17..isqrt(limit) struck, then the survivors written straight
+    into the new array.  That array is sized by pi(x) < 1.25506 x / ln x
+    (Rosser and Schoenfeld, 1962) and shrunk to fit; the pages of its tail
+    are never written, so a large array's tail takes no memory.
+    """
+    old = store.primes
+    out = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
+    out[: len(old)] = old
+    size = len(old)
+    if store.limit < 2:
+        out[size] = 2
+        size += 1
+    base = old[np.searchsorted(old, 17) : np.searchsorted(old, isqrt(limit), side="right")]
     first = base * base // 2  # flag of p^2
     residue = base // 2  # flag i holds an odd multiple of p iff i = p // 2 (mod p)
-    for lo in range(0, len(flags), _SEGMENT):
-        seg = flags[lo : lo + _SEGMENT]
-        k = int(np.searchsorted(first, lo + len(seg)))
+    start, end = (store.limit + 1) // 2, (limit + 1) // 2  # flags of the odd numbers in the range
+    wheel = np.resize(_WHEEL, min(_SEGMENT, end - start) + len(_WHEEL))
+    buf = np.empty(min(_SEGMENT, end - start), dtype=bool)
+    # segments end at multiples of _SEGMENT flags, wherever the store ended
+    edges = [start, *range((start // _SEGMENT + 1) * _SEGMENT, end, _SEGMENT), end]
+    for lo, hi in zip(edges, edges[1:]):
+        seg = buf[: hi - lo]
+        phase = lo % len(_WHEEL)
+        seg[:] = wheel[phase : phase + len(seg)]
+        for p in _WHEEL_PRIMES:  # the pattern strikes the wheel primes too
+            if lo <= p // 2 < hi:
+                seg[p // 2 - lo] = True
+        k = int(np.searchsorted(first, hi))
         starts = np.maximum(first[:k], lo + (residue[:k] - lo) % base[:k]) - lo
         for p, s in zip(base[:k].tolist(), starts.tolist()):
             seg[s::p] = False
-    primes = np.flatnonzero(flags)
-    primes *= 2
-    primes += 1
-    primes[0] = 2  # flag 0 stands for 1, which is not prime; 2 takes its place
-    return primes
+        found = np.flatnonzero(seg)
+        found += lo
+        found *= 2
+        found += 1
+        out[size : size + len(found)] = found
+        size += len(found)
+    out.resize(size, refcheck=False)  # no view of out exists yet
+    return SievedPrimes(limit, out)
 
 
 # every live sieve by limit, so concurrent first callers, and callers after an
@@ -142,16 +202,21 @@ _sieves_lock = threading.Lock()
 
 @lru_cache(maxsize=4)
 def get_sieve(limit: int) -> SievedPrimes:
-    """The cached sieve of the primes up to limit; its array is read-only.
+    """The cached sieve of the primes up to limit: a read-only prefix view of the prime store.
 
-    Each limit is sieved once: the build runs under a module lock, and every
-    caller gets the sieve it published.
+    Each sieve is made once, under a module lock, and every caller gets the
+    sieve it published.  A growth of the store empties this cache, so that
+    the cached views no longer hold the store it replaced.
     """
     with _sieves_lock:
         sv = _sieves.get(limit)
         if sv is None:
             sv = _sieves[limit] = SievedPrimes(limit, primes_upto(limit))
         return sv
+
+
+# bound at import: a tracer may rebind get_sieve to a wrapper without cache_clear
+_drop_cached_sieves = get_sieve.cache_clear
 
 
 def pi(x: int, sieve: SievedPrimes) -> int:
@@ -254,12 +319,43 @@ def _sampled(name: str, records: list[dict]) -> Check:
     return Check(name, passed, {"records": records})
 
 
+def _at_least(lo: int, samples, claim: str) -> tuple[int, ...]:
+    """samples as a tuple; the first x below lo raises ValueError, "<claim>, got <x>"."""
+    samples = tuple(samples)
+    for x in samples:
+        if x < lo:
+            raise ValueError(f"{claim}, got {x}")
+    return samples
+
+
+def _pi_samples(samples) -> tuple[int, ...]:
+    return _at_least(10**6, samples, "bound is asserted only for x >= 10^6")
+
+
+def _bt_samples(n: int, samples, limit: int) -> tuple[int, ...]:
+    """check_bt_bound's points on a sieve up to limit, or the error it raises for its arguments."""
+    if n < 2:
+        raise ValueError(f"bound is asserted for n >= 2, got {n}")
+    lo = 4 ** (n + 1)
+    if samples is None:
+        # refused before the float grid, which cannot take 4^(n+1) >= 2^64
+        if lo > limit:
+            raise BeyondSieveError(f"x=4^{n + 1} beyond sieved limit {limit}")
+        return _grid(lo, limit, 10)
+    return _at_least(lo, samples, f"bound needs x >= 4^(n+1) = {lo}")
+
+
+def _class_samples(a: int, samples, claim: str) -> tuple[int, ...]:
+    """Points of a check on the odd class a mod 8, or the error it raises for its arguments."""
+    if a not in (1, 3, 5, 7):
+        raise ValueError(f"a must be an odd class mod 8, got {a}")
+    return _at_least(10**6, samples, f"{claim} is asserted only for x >= 10^6")
+
+
 def check_pi_bound(samples, sieve: SievedPrimes) -> Check:
     """pi(x) <= 1.1 x / ln x for x >= 10^6."""
     records = []
-    for x in samples:
-        if x < 10**6:
-            raise ValueError(f"bound is asserted only for x >= 10^6, got {x}")
+    for x in _pi_samples(samples):
         lhs = float(pi(x, sieve))
         rhs = 1.1 * x / math.log(x)
         records.append(_record(x, lhs, rhs, rhs - lhs))
@@ -276,20 +372,9 @@ def check_bt_bound(n: int, samples, sieve: SievedPrimes) -> Check:
 
     samples None checks ten log-spaced points from 4^(n+1) to the sieve's limit.
     """
-    if n < 2:
-        raise ValueError(f"bound is asserted for n >= 2, got {n}")
-    q = 1 << (n + 1)
-    lo = 4 ** (n + 1)
-    if samples is None:
-        # refused before the float grid, which cannot take 4^(n+1) >= 2^64
-        if lo > sieve.limit:
-            raise BeyondSieveError(f"x=4^{n + 1} beyond sieved limit {sieve.limit}")
-        samples = _grid(lo, sieve.limit, 10)
     records = []
-    for x in samples:
-        if x < lo:
-            raise ValueError(f"bound needs x >= 4^(n+1) = {lo}, got {x}")
-        lhs = float(pi_ap(x, q, 1, sieve))
+    for x in _bt_samples(n, samples, sieve.limit):
+        lhs = float(pi_ap(x, 1 << (n + 1), 1, sieve))
         rhs = 4.0 * x / ((1 << n) * math.log(x))
         records.append(_record(x, lhs, rhs, rhs - lhs))
     return _sampled("bt_bound", records)
@@ -297,10 +382,7 @@ def check_bt_bound(n: int, samples, sieve: SievedPrimes) -> Check:
 
 def check_logsum_bound(a: int, x: int, sieve: SievedPrimes) -> Check:
     """sum_{p <= x, p = a mod 8} ln p / p > 0.245 ln x - 3.15 for x >= 10^6, a in {1,3,5,7}."""
-    if a not in (1, 3, 5, 7):
-        raise ValueError(f"a must be an odd class mod 8, got {a}")
-    if x < 10**6:
-        raise ValueError(f"bound is asserted only for x >= 10^6, got {x}")
+    _class_samples(a, (x,), "bound")
     ps, hit = _in_class(x, 8, a, sieve)
     sel = ps.compress(hit).astype(np.float64)
     lhs = exact_sum(np.log(sel) / sel)
@@ -310,16 +392,38 @@ def check_logsum_bound(a: int, x: int, sieve: SievedPrimes) -> Check:
 
 def check_theta_window(a: int, samples, sieve: SievedPrimes) -> Check:
     """|theta(x; 8, a) - x/4| < 0.024 x / ln x, spot-checked at desk scale."""
-    if a not in (1, 3, 5, 7):
-        raise ValueError(f"a must be an odd class mod 8, got {a}")
     records = []
-    for x in samples:
-        if x < 10**6:
-            raise ValueError(f"window is asserted only for x >= 10^6, got {x}")
+    for x in _class_samples(a, samples, "window"):
         lhs = abs(theta_ap(x, 8, a, sieve) - x / 4.0)
         rhs = 0.024 * x / math.log(x)
         records.append(_record(x, lhs, rhs, rhs - lhs))
     return _sampled("theta_window", records)
+
+
+def sieve_check(kind: str, limit: int, xs: tuple[int, ...], n: int, a: int) -> Check:
+    """The analytic command's check of one kind ("pi", "bt", "logsum", "theta") up to limit.
+
+    Empty xs takes the default points: 10^6 and limit for pi and theta,
+    10^6 for logsum, ten log-spaced points from 4^(n+1) for bt; logsum reads
+    only the first x.  Every argument is refused, with the error the check
+    itself raises, before the sieve is made, so a refused check sieves
+    nothing and leaves the prime store as it was.
+    """
+    _refuse_past_cap(limit)
+    default = tuple(sorted({10**6, limit}))
+    if kind == "pi":
+        samples = _pi_samples(xs or default)
+        return check_pi_bound(samples, get_sieve(limit))
+    if kind == "bt":
+        samples = _bt_samples(n, xs or None, limit)
+        return check_bt_bound(n, samples, get_sieve(limit))
+    if kind == "logsum":
+        (x,) = _class_samples(a, xs[:1] or (10**6,), "bound")
+        return check_logsum_bound(a, x, get_sieve(limit))
+    if kind == "theta":
+        samples = _class_samples(a, xs or default, "window")
+        return check_theta_window(a, samples, get_sieve(limit))
+    raise ValueError(f"unknown sieve check {kind!r}")
 
 
 def final_inequality_margin(m: int, n: int) -> tuple[float, float]:

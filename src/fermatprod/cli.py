@@ -153,29 +153,19 @@ def _cmd_cyclotomic(args) -> tuple[dict, Check]:
 def _cmd_analytic(args) -> tuple[dict, Check]:
     m, xs, limit = _scaled_int(args.m), [_scaled_int(x) for x in args.x], _scaled_int(args.limit)
     params = {"check": args.check}
-    sieve = None
-    if args.check in ("pi", "bt", "logsum", "theta"):
-        limit = max([limit, *xs])
-        sieve = analytic.get_sieve(limit)
-        params["limit"] = limit
-    default_samples = tuple(sorted({10**6, sieve.limit})) if sieve else ()
-    if args.check == "pi":
-        check = analytic.check_pi_bound(tuple(xs) or default_samples, sieve)
-    elif args.check == "bt":
-        check = analytic.check_bt_bound(args.n, tuple(xs) or None, sieve)
-    elif args.check == "logsum":
-        check = analytic.check_logsum_bound(args.a, xs[0] if xs else 10**6, sieve)
-    elif args.check == "theta":
-        check = analytic.check_theta_window(args.a, tuple(xs) or default_samples, sieve)
-    elif args.check == "margin":
+    if args.check == "margin":
         lhs, rhs = analytic.final_inequality_margin(m, args.n)
         payload = {"m": m, "n": args.n, "lhs": lhs, "rhs": rhs, "contradiction": lhs > rhs}
         return params | {"m": m, "n": args.n}, Check("margin", True, payload)
-    else:  # crossing
+    if args.check == "crossing":
         m_star = analytic.final_inequality_crossing(args.n)
         payload = {"n": args.n, "crossing": m_star, "within_10^12": m_star <= 10**12}
         return params | {"n": args.n}, Check("crossing", m_star <= 10**12, payload)
-    return params, Check(check.name, check.passed, {"name": check.name} | check.detail)
+    # pi, bt, logsum or theta
+    limit = max([limit, *xs])
+    check = analytic.sieve_check(args.check, limit, tuple(xs), args.n, args.a)
+    payload = {"name": check.name} | check.detail
+    return params | {"limit": limit}, Check(check.name, check.passed, payload)
 
 
 def _cmd_verify_all(args) -> tuple[dict, Check]:

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from fermatprod import prodorders
+from fermatprod import analytic, prodorders
 
 
 def pytest_addoption(parser):
@@ -34,3 +35,20 @@ def cold_engines():
     prodorders.reset_engines()
     yield prodorders.reset_engines
     prodorders.reset_engines()
+
+
+@pytest.fixture
+def cold_sieve(monkeypatch):
+    """An empty private prime store for the test; the process's store comes back after it.
+
+    Yields the reset function, which swaps in another empty store, for a test
+    that must sieve from nothing again midway.
+    """
+
+    def reset():
+        analytic._store = analytic.SievedPrimes(1, np.empty(0, dtype=np.int64))
+
+    # the first swap goes through monkeypatch, which restores the process's store
+    monkeypatch.setattr(analytic, "_store", analytic._store)
+    reset()
+    yield reset

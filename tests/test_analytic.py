@@ -1,9 +1,11 @@
 """analytic: sieves, progression counters, bound spot-checks, final inequality."""
 
+import gc
 import math
 import random
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -35,13 +37,21 @@ LADDER_LIMIT = 21_544_347
 MODULI = (3, 4, 5, 8, 12, 16, 100, 300)
 
 
-def assert_matches_oracle(limit, oracle=None):
-    """primes_upto(limit) equals the oracle: segmented_primes(limit), or a longer run of it."""
+def assert_matches_oracle(cold, limit, oracle=None):
+    """primes_upto(limit) equals the oracle: segmented_primes(limit), or a longer run of it.
+
+    Checked sieved from an empty store, and grown from the store of limit // 2
+    and of limit - 1, so that the growth itself ends at limit's edges.
+    """
     want = segmented_primes(limit) if oracle is None else oracle[oracle <= limit]
-    got = primes_upto(limit)
-    assert got.dtype == np.int64, limit
-    assert (np.diff(got) > 0).all(), limit  # strictly ascending, so duplicate-free
-    assert np.array_equal(got, want), limit
+    for smaller in (None, limit // 2, limit - 1):
+        cold()
+        if smaller is not None:
+            primes_upto(smaller)
+        got = primes_upto(limit)
+        assert got.dtype == np.int64 and not got.flags.writeable, (limit, smaller)
+        assert (np.diff(got) > 0).all(), (limit, smaller)  # strictly ascending, so duplicate-free
+        assert np.array_equal(got, want), (limit, smaller)
 
 
 class TestSieves:
@@ -68,36 +78,37 @@ class TestSieves:
         for seg in (64, 1000, 1 << 14):
             assert (segmented_primes(10**5, seg) == primes_upto(10**5)).all()
 
-    def test_every_small_limit(self):
+    def test_every_small_limit(self, cold_sieve):
         for limit in range(2001):
-            assert_matches_oracle(limit)
+            assert_matches_oracle(cold_sieve, limit)
 
-    def test_limits_around_base_prime_squares(self):
+    def test_limits_around_base_prime_squares(self, cold_sieve):
         # 997 is the largest base prime of a 10^6 sieve
         for p in (13, 17, 19, 997):
             for limit in (p * p - 1, p * p, p * p + 1):
-                assert_matches_oracle(limit)
+                assert_matches_oracle(cold_sieve, limit)
 
-    def test_limits_where_the_wheel_wraps(self):
+    def test_limits_where_the_wheel_wraps(self, cold_sieve):
         # the 15015-flag wheel pattern spans the odd numbers below 30030
         for limit in range(30028, 30033):
-            assert_matches_oracle(limit)
+            assert_matches_oracle(cold_sieve, limit)
 
-    def test_limits_at_segment_boundaries(self):
-        # a segment of 2^20 flags spans 2^21 integers
+    def test_limits_at_segment_boundaries(self, cold_sieve):
+        # segment k holds the 2^20 flags of the odd numbers in (2^21 k, 2^21 (k + 1)),
+        # wherever the store ended before the growth
         for edge in (1 << 21, 1 << 22):
             oracle = segmented_primes(edge + 2)
             for limit in range(edge - 2, edge + 3):
-                assert_matches_oracle(limit, oracle)
+                assert_matches_oracle(cold_sieve, limit, oracle)
 
-    def test_random_limits(self):
+    def test_random_limits(self, cold_sieve):
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
 
         @hypothesis.settings(max_examples=15, deadline=None)
         @hypothesis.given(st.integers(0, 3 * 10**6))
         def check(limit):
-            assert_matches_oracle(limit)
+            assert_matches_oracle(cold_sieve, limit)
 
         check()
 
@@ -117,12 +128,103 @@ class TestSieves:
 
     @pytest.mark.parametrize("limit", [analytic.SIEVE_CAP + 1, 10**400])
     def test_cap_refuses_before_allocating(self, limit):
-        # only limits above the cap: a sieve near it takes about 0.9 GB
+        # only limits above the cap: a store near it keeps about 0.4 GB for the process's life
         assert analytic.SIEVE_CAP >= 10**8  # verify-all --long sieves 10^8
         with pytest.raises(InfeasibleSizeError):
             primes_upto(limit)
         with pytest.raises(InfeasibleSizeError):
             get_sieve(limit)
+
+
+def spy_on_growth(monkeypatch) -> list[tuple[int, int]]:
+    """Record the range (old limit, new limit] of every growth of the prime store."""
+    ranges = []
+    extended = analytic._extended
+
+    def spy(store, limit):
+        ranges.append((store.limit, limit))
+        return extended(store, limit)
+
+    monkeypatch.setattr(analytic, "_extended", spy)
+    return ranges
+
+
+def assert_sieved_once(ranges, top):
+    """The grown ranges tile (1, top]: disjoint, contiguous and in order."""
+    assert ranges and ranges[0][0] == 1 and ranges[-1][1] == top, ranges
+    assert all(hi == lo for (_, hi), (lo, _) in zip(ranges, ranges[1:])), ranges
+    assert all(lo < hi for lo, hi in ranges), ranges
+
+
+STORE_TOP = (1 << 22) + 5  # past two segment edges, at flags 2^20 and 2^21
+
+
+@pytest.fixture(scope="module")
+def store_oracle():
+    return segmented_primes(STORE_TOP)
+
+
+class TestStore:
+    """The prime store: every limit a prefix view, every integer sieved once."""
+
+    LIMITS = (0, 1, 2, 3, 4, 97, 1000, 30030, 65537, 1 << 21, (1 << 21) + 1, 3 * 10**6, STORE_TOP)
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
+    def test_any_order_of_limits(self, cold_sieve, monkeypatch, store_oracle, order):
+        limits = sorted(self.LIMITS)
+        if order == "descending":
+            limits.reverse()
+        elif order == "interleaved":
+            random.Random(7).shuffle(limits)
+        ranges = spy_on_growth(monkeypatch)
+        for limit in limits:
+            got = primes_upto(limit)
+            assert np.array_equal(got, store_oracle[store_oracle <= limit]), limit
+            assert not got.flags.writeable, limit
+        assert_sieved_once(ranges, STORE_TOP)
+
+    def test_threads_growing_to_different_limits(self, cold_sieve, monkeypatch, store_oracle):
+        ranges = spy_on_growth(monkeypatch)
+        limits = (50_000, 10**6, 30_031, STORE_TOP, 2 * 10**6, 999_983)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            barrier = threading.Barrier(len(limits))
+            got = {}
+
+            def grow(limit):
+                barrier.wait()
+                got[limit] = primes_upto(limit)
+
+            threads = [threading.Thread(target=grow, args=(limit,)) for limit in limits]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(got) == sorted(limits)
+        for limit, primes in got.items():
+            assert np.array_equal(primes, store_oracle[store_oracle <= limit]), limit
+        assert_sieved_once(ranges, STORE_TOP)
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_replaced_store_is_freed(self, cold_sieve, monkeypatch, traced):
+        if traced:
+            # a tracer's plain wrapper, without cache_clear, in place of the cached function
+            monkeypatch.setattr(analytic, "get_sieve", lambda limit: get_sieve(limit))
+        sieve = analytic.get_sieve(7919)  # a limit no other test holds
+        replaced = weakref.ref(analytic._store.primes)
+        assert sieve.primes.base is replaced()
+        assert get_sieve.cache_info().currsize >= 1
+        primes_upto(20_011)
+        assert analytic._store.primes is not replaced()
+        assert get_sieve.cache_info().currsize == 0  # the growth dropped the cached sieves
+        assert replaced() is not None  # the caller's sieve still holds it
+        del sieve
+        gc.collect()
+        assert replaced() is None
 
 
 class TestProgressions:

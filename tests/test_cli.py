@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from fermatprod import cli, cyclotomic, prodorders
+from fermatprod import analytic, cli, cyclotomic, prodorders
 from fermatprod.cli import main
 from fermatprod.analytic import SIEVE_CAP
 from fermatprod.errors import InternalRefusalError
@@ -296,6 +296,33 @@ class TestAnalytic:
         assert main(["analytic", "--check", "bt", "--n", n]) == 2
         out, err = capsys.readouterr()
         assert not out and err.startswith("usage:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (["pi", "--x", "5"], "usage: bound is asserted only for x >= 10^6, got 5"),
+            (["pi", "--x", "2000000", "--x", "-3"], "usage: bound is asserted only for x >= 10^6, got -3"),
+            (["bt", "--n", "1"], "usage: bound is asserted for n >= 2, got 1"),
+            (["bt", "--n", "3", "--x", "255"], "usage: bound needs x >= 4^(n+1) = 256, got 255"),
+            (["bt", "--n", "20"], "usage: x=4^21 beyond sieved limit 300000000"),
+            (["logsum", "--a", "2"], "usage: a must be an odd class mod 8, got 2"),
+            (["logsum", "--x", "999999"], "usage: bound is asserted only for x >= 10^6, got 999999"),
+            (["theta", "--a", "9", "--x", "5"], "usage: a must be an odd class mod 8, got 9"),
+            (["theta", "--x", "5"], "usage: window is asserted only for x >= 10^6, got 5"),
+            # the cap is still refused first
+            (["pi", "--x", "5", "--limit", "2e9"], "infeasible: sieve limit above SIEVE_CAP = 1000000000"),
+        ],
+    )
+    def test_refused_before_sieving(self, capsys, monkeypatch, argv, err):
+        def refuse(limit):
+            raise AssertionError(f"sieved up to {limit} for a refused command")
+
+        monkeypatch.setattr(analytic, "primes_upto", refuse)
+        store = analytic._store
+        limit = [] if "--limit" in argv else ["--limit", "3e8"]
+        assert main(["analytic", "--check", *argv, *limit, "--json"]) == 2
+        assert capsys.readouterr() == ("", err + "\n")
+        assert analytic._store is store
 
 
 def readme_commands():
