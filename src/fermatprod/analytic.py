@@ -1,28 +1,35 @@
 """Sieve-backed prime counting and numeric spot-checks of the analytic bounds.
 
-One prime store backs pi, pi(x; q, a) and theta(x; q, a): a read-only
-array of every prime up to the largest limit asked for in the process.
-primes_upto(limit) returns a prefix view of it, and get_sieve caches such
-views as sieves, which every caller passes.  A limit past the store grows it
-by a segmented sieve of Eratosthenes (Bays and Hudson, 1977) over the odd
-numbers the store does not reach yet, one cache-sized segment of flags at a
-time: the multiples of 3..13 are struck by a tiled wheel pattern, the other
-base primes are read from the store itself, and each segment's primes are
-written straight into the new store.  So each integer is sieved once per
-process; the test suite checks the store against an independent
-pure-Python segmented sieve.  All logarithms are natural.
+One prime store backs pi, pi(x; q, a) and theta(x; q, a): every prime up to
+the largest limit asked for in the process, ascending, in one uint32 buffer.
+The buffer is reserved once, with room for every prime up to SIEVE_CAP, and
+is never copied or moved: only its written pages take memory.
+primes_upto(limit) returns a read-only prefix view of it, and get_sieve
+caches such views as sieves, which every caller passes.  A limit past the
+store grows it in place by a segmented sieve of Eratosthenes (Bays and
+Hudson, 1977) over the odd numbers the store does not reach yet, one
+cache-sized segment of flags at a time: the multiples of 3..13 are struck by
+a tiled wheel pattern, the other base primes are read from the store itself,
+and each segment's primes are written straight into the buffer past the
+published prefix.  So each integer is sieved once per process, and a view
+handed out before a growth stays valid after it; the test suite checks the
+store against an independent pure-Python segmented sieve.  All logarithms
+are natural.
 
 A progression query reads the residues of the sieve's primes modulo q from
 a cache kept on the sieve: they are computed once per modulus, one byte per
-prime for q <= 256, and released with the sieve.  Log-weighted sums are
-exact: exact_sum adds the float64 terms as integers and rounds once, so it
-returns what math.fsum would, bit for bit.  A bound only counts as passed
-when its margin exceeds 1e-9, otherwise it is flagged ambiguous.
+prime for q <= 256, and released with the sieve.  The queries stream over
+the sieve one block of 2^20 primes at a time, so no temporary spans the
+class.  Log-weighted sums are exact: each block's float64 terms are added as
+integers and the total is rounded once, so a sum returns what math.fsum
+would, bit for bit.  A bound only counts as passed when its margin exceeds
+1e-9, otherwise it is flagged ambiguous.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -35,8 +42,10 @@ from .check import Check
 from .errors import BeyondSieveError, InfeasibleSizeError
 
 DEFAULT_SIEVE_LIMIT = 10_000_000
-# The largest limit primes_upto sieves.  The flags exist one segment at a
-# time, but the store keeps 0.4 GB of primes at 10^9 for the process's life.
+# The largest limit primes_upto sieves.  The store keeps its primes as uint32,
+# so it must stay below 2^32.  The flags exist one segment at a time, but the
+# store keeps 4 bytes per prime for the process's life: 203 MB at 10^9, where
+# analytic --check pi --limit 1e9 peaks at 230 MB resident.
 # verify-all --long and the sieve benchmark sieve 10^8.
 SIEVE_CAP = 10**9
 MARGIN_EPS = 1e-9
@@ -75,9 +84,13 @@ class SievedPrimes:
             if res is not None:
                 return res
             res = np.empty(len(self.primes), dtype=np.min_scalar_type(q - 1))
-            for lo in range(0, len(res), _RESIDUE_CHUNK):
-                chunk = self.primes[lo : lo + _RESIDUE_CHUNK]
-                res[lo : lo + _RESIDUE_CHUNK] = chunk & (q - 1) if q & (q - 1) == 0 else chunk % q
+            for lo in range(0, len(res), _BLOCK):
+                chunk = self.primes[lo : lo + _BLOCK]
+                # a q past the limit leaves every prime its own residue, and
+                # q - 1 may not fit the primes' dtype
+                if q <= self.limit:
+                    chunk = chunk & (q - 1) if q & (q - 1) == 0 else chunk % q
+                res[lo : lo + _BLOCK] = chunk
             res.flags.writeable = False
             self._residues[q] = res
             return res
@@ -93,13 +106,17 @@ _WHEEL = np.logical_and.reduce(
 # 2^20 one-byte flags: a segment stays in a core's 2 MB L2 cache while every
 # base prime strikes it
 _SEGMENT = 1 << 20
-# primes reduced per step while filling a residue cache: an 8 MB temporary
-_RESIDUE_CHUNK = 1 << 20
+# primes per step of a pass over a sieve, in a residue fill and in a class
+# sum: each step's temporaries take a few MB, whatever the sieve's size
+_BLOCK = 1 << 20
 # 2^15 terms per exact_sum step: its float64 temporaries stay in L2 cache,
 # and a sum of 2^15 limbs below 2^48 stays below 2^63
 _SUM_CHUNK_BITS = 15
 _SUM_CHUNK = 1 << _SUM_CHUNK_BITS
 _LIMB_BITS = 63 - _SUM_CHUNK_BITS
+# pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld, 1962): room for
+# every prime up to SIEVE_CAP, 60.6 million entries
+_RESERVE = int(1.25506 * SIEVE_CAP / math.log(SIEVE_CAP)) + 1
 
 
 def _refuse_past_cap(limit: int) -> None:
@@ -107,74 +124,104 @@ def _refuse_past_cap(limit: int) -> None:
         raise InfeasibleSizeError(f"sieve limit above SIEVE_CAP = {SIEVE_CAP}")
 
 
+def _rank(primes: np.ndarray, x: int) -> int:
+    """The number of entries <= x of an ascending array of primes.
+
+    x reaches searchsorted as a scalar of the array's own dtype, since a
+    Python int makes numpy cast the whole array to int64 first.  Below 2
+    there is no prime to count, and no negative x has a uint32 value.
+    """
+    if x < 2:
+        return 0
+    return int(np.searchsorted(primes, primes.dtype.type(x), side="right"))
+
+
 def primes_upto(limit: int) -> np.ndarray:
-    """All primes <= limit as an ascending, read-only int64 array.
+    """All primes <= limit as an ascending, read-only uint32 array.
 
     A prefix view of the process's prime store, which holds every prime up
     to the largest limit asked for so far.  A limit past the store grows it
-    first, sieving only the integers the store does not reach yet.  A limit
-    above SIEVE_CAP raises InfeasibleSizeError before any allocation.
+    in place first, sieving only the integers the store does not reach yet.
+    The store is never copied, so a view stays valid, and shares its memory,
+    after any later growth.  A limit above SIEVE_CAP raises
+    InfeasibleSizeError before any allocation.
     """
     _refuse_past_cap(limit)
-    store = _store
-    if limit > store.limit:
-        store = _grow(limit)
-    return store.primes[: np.searchsorted(store.primes, limit, side="right")]
+    sieve = _store.sieve
+    if limit > sieve.limit:
+        sieve = _grow(limit)
+    return sieve.primes[: _rank(sieve.primes, limit)]
 
 
-# The prime store: every prime up to its limit.  Growth publishes a new store
-# under _store_lock and never mutates a published one, so a reader takes the
-# current store without locking and keeps a consistent snapshot.
-_store = SievedPrimes(1, np.empty(0, dtype=np.int64))
+class _PrimeStore:
+    """Every prime up to sieve.limit, as sieve.primes: a read-only prefix of buf.
+
+    buf is reserved at the first growth, with room for every prime up to
+    SIEVE_CAP, and never resized, moved or replaced after it; only its
+    written pages take memory.  A growth writes past the published prefix
+    and then publishes a longer one, so no published view is ever written
+    to.  Each store owns its buffer.
+    """
+
+    def __init__(self) -> None:
+        self.buf = np.empty(0, dtype=np.uint32)
+        self.sieve = SievedPrimes(1, self.buf[:0])
+
+
+# Growths are serialised by _store_lock; a reader takes _store.sieve without
+# locking and keeps a consistent snapshot.
+_store = _PrimeStore()
 _store_lock = threading.Lock()
 
 
 def _grow(limit: int) -> SievedPrimes:
-    """Publish a store reaching limit, and drop get_sieve's sieves of the store it replaces."""
-    global _store
+    """Grow the store in place to reach limit; its published sieve."""
     with _store_lock:
         store = _store
-        if limit <= store.limit:
-            return store
+        if limit <= store.sieve.limit:
+            return store.sieve
+        if not len(store.buf):
+            # a private anonymous mapping, whose pages take memory as they are
+            # written, 4 KB at a time: numpy asks for 2 MB pages for an array
+            # this large, so a first write could take 2 MB at once
+            room = mmap.mmap(-1, 4 * _RESERVE, access=mmap.ACCESS_COPY)
+            store.buf = np.frombuffer(room, dtype=np.uint32)
         # a growth to s strikes with the primes up to isqrt(s), read from the
         # store, so first reach isqrt(limit), isqrt(isqrt(limit)), ...
         steps = [limit]
-        while isqrt(steps[-1]) > store.limit:
+        while isqrt(steps[-1]) > store.sieve.limit:
             steps.append(isqrt(steps[-1]))
         for step in reversed(steps):
-            store = _extended(store, step)
-        _store = store
-        _drop_cached_sieves()
-        return store
+            _extend(store, step)
+        return store.sieve
 
 
-def _extended(store: SievedPrimes, limit: int) -> SievedPrimes:
-    """The store followed by the primes in (store.limit, limit]; store.limit >= isqrt(limit).
+def _extend(store: _PrimeStore, limit: int) -> None:
+    """Write the primes in (store.sieve.limit, limit] into the buffer and publish them.
 
-    Only the odd numbers past store.limit are sieved, one segment of flags
-    at a time: the wheel pattern tiled from the segment's phase, then the
-    base primes 17..isqrt(limit) struck, then the survivors written straight
-    into the new array.  That array is sized by pi(x) < 1.25506 x / ln x
-    (Rosser and Schoenfeld, 1962) and shrunk to fit; the pages of its tail
-    are never written, so a large array's tail takes no memory.
+    Needs store.sieve.limit >= isqrt(limit).  Only the odd numbers past the
+    store are sieved, one segment of flags at a time: the wheel pattern
+    tiled from the segment's phase, then the base primes 17..isqrt(limit)
+    struck, then the survivors written straight into the buffer past the
+    published prefix, where no view reads.
     """
-    old = store.primes
-    out = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
-    out[: len(old)] = old
-    size = len(old)
-    if store.limit < 2:
+    old = store.sieve
+    out = store.buf
+    size = len(old.primes)
+    if old.limit < 2:
         out[size] = 2
         size += 1
-    base = old[np.searchsorted(old, 17) : np.searchsorted(old, isqrt(limit), side="right")]
+    # int64: residue - lo below goes negative, which uint32 would wrap
+    base = old.primes[_rank(old.primes, 16) : _rank(old.primes, isqrt(limit))].astype(np.int64)
     first = base * base // 2  # flag of p^2
     residue = base // 2  # flag i holds an odd multiple of p iff i = p // 2 (mod p)
-    start, end = (store.limit + 1) // 2, (limit + 1) // 2  # flags of the odd numbers in the range
+    start, end = (old.limit + 1) // 2, (limit + 1) // 2  # flags of the odd numbers in the range
     wheel = np.resize(_WHEEL, min(_SEGMENT, end - start) + len(_WHEEL))
-    buf = np.empty(min(_SEGMENT, end - start), dtype=bool)
+    flags = np.empty(min(_SEGMENT, end - start), dtype=bool)
     # segments end at multiples of _SEGMENT flags, wherever the store ended
     edges = [start, *range((start // _SEGMENT + 1) * _SEGMENT, end, _SEGMENT), end]
     for lo, hi in zip(edges, edges[1:]):
-        seg = buf[: hi - lo]
+        seg = flags[: hi - lo]
         phase = lo % len(_WHEEL)
         seg[:] = wheel[phase : phase + len(seg)]
         for p in _WHEEL_PRIMES:  # the pattern strikes the wheel primes too
@@ -190,8 +237,7 @@ def _extended(store: SievedPrimes, limit: int) -> SievedPrimes:
         found += 1
         out[size : size + len(found)] = found
         size += len(found)
-    out.resize(size, refcheck=False)  # no view of out exists yet
-    return SievedPrimes(limit, out)
+    store.sieve = SievedPrimes(limit, out[:size])
 
 
 # every live sieve by limit, so concurrent first callers, and callers after an
@@ -205,8 +251,8 @@ def get_sieve(limit: int) -> SievedPrimes:
     """The cached sieve of the primes up to limit: a read-only prefix view of the prime store.
 
     Each sieve is made once, under a module lock, and every caller gets the
-    sieve it published.  A growth of the store empties this cache, so that
-    the cached views no longer hold the store it replaced.
+    sieve it published.  A growth of the store moves nothing, so a cached
+    sieve stays valid and the cache is never emptied.
     """
     with _sieves_lock:
         sv = _sieves.get(limit)
@@ -215,39 +261,36 @@ def get_sieve(limit: int) -> SievedPrimes:
         return sv
 
 
-# bound at import: a tracer may rebind get_sieve to a wrapper without cache_clear
-_drop_cached_sieves = get_sieve.cache_clear
-
-
 def pi(x: int, sieve: SievedPrimes) -> int:
     """Number of primes <= x."""
     if x > sieve.limit:
         raise BeyondSieveError(f"x={x} beyond sieved limit {sieve.limit}")
-    return int(np.searchsorted(sieve.primes, x, side="right"))
+    return _rank(sieve.primes, x)
 
 
-def _in_class(x: int, q: int, a: int, sieve: SievedPrimes) -> tuple[np.ndarray, np.ndarray]:
-    """The primes p <= x and the mask of those with p = a (mod q); requires gcd(a, q) = 1.
+def _in_class(x: int, q: int, a: int, sieve: SievedPrimes):
+    """Blocks of _BLOCK primes p <= x, each with the mask of its p = a (mod q).
 
-    Callers select with compress, which runs about 3x faster here than a
-    boolean index.
+    Requires gcd(a, q) = 1; the arguments are checked, and the residues
+    made, before the blocks are handed out.  Callers select with compress,
+    which runs about 3x faster here than a boolean index.
     """
     if gcd(a, q) != 1:
         raise ValueError(f"need gcd(a, q) = 1, got a={a}, q={q}")
     k = pi(x, sieve)
-    return sieve.primes[:k], sieve.residues(q)[:k] == a % q
+    ps, res, r = sieve.primes[:k], sieve.residues(q)[:k], a % q
+    return ((ps[lo : lo + _BLOCK], res[lo : lo + _BLOCK] == r) for lo in range(0, k, _BLOCK))
 
 
 def pi_ap(x: int, q: int, a: int, sieve: SievedPrimes) -> int:
     """Number of primes p <= x with p = a (mod q); requires gcd(a, q) = 1."""
-    _, hit = _in_class(x, q, a, sieve)
-    return int(np.count_nonzero(hit))
+    return sum(int(np.count_nonzero(hit)) for _, hit in _in_class(x, q, a, sieve))
 
 
 def theta_ap(x: int, q: int, a: int, sieve: SievedPrimes) -> float:
     """Chebyshev theta(x; q, a) = sum of ln p over primes p <= x, p = a (mod q)."""
-    ps, hit = _in_class(x, q, a, sieve)
-    return exact_sum(np.log(ps.compress(hit).astype(np.float64)))
+    blocks = _in_class(x, q, a, sieve)
+    return _streamed_sum(np.log(ps.compress(hit).astype(np.float64)) for ps, hit in blocks)
 
 
 def exact_sum(terms: np.ndarray) -> float:
@@ -263,12 +306,37 @@ def exact_sum(terms: np.ndarray) -> float:
     not an integer at scale 2^-S, or exceeds the top limb, raises
     ArithmeticError.  Nothing is ever rounded but the final quotient.
     """
+    return _streamed_sum((terms,))
+
+
+def _streamed_sum(blocks) -> float:
+    """exact_sum of the terms of every block together, reading one block at a time.
+
+    Each block's exact total is an integer at the block's own scale 2^-s.
+    The running total, an integer at scale 2^-scale, moves to the finest
+    scale seen so far; starting from scale 0, that only ever shifts an
+    integer left, so the total stays exact, and the one rounding is the
+    final quotient: the result is exact_sum's over the concatenated blocks,
+    bit for bit.
+    """
+    total, scale = 0, 0
+    for block in blocks:
+        part, s = _scaled_total(block)
+        if s > scale:
+            total <<= s - scale
+            scale = s
+        total += part << (scale - s)
+    return total / (1 << scale)
+
+
+def _scaled_total(terms: np.ndarray) -> tuple[int, int]:
+    """(T, S) with sum(terms) = T 2^-S exactly, S as in exact_sum; (0, 0) for no nonzero term."""
     terms = np.asarray(terms, dtype=np.float64).ravel()
     if not np.isfinite(terms).all() or np.signbit(terms).any():
         raise ValueError("exact_sum needs finite non-negative terms")
     top = terms.max(initial=0.0)
     if top == 0:
-        return 0.0
+        return 0, 0
     low = terms.min()
     if low == 0:
         low = terms[terms > 0].min()
@@ -300,7 +368,7 @@ def exact_sum(terms: np.ndarray) -> float:
                     raise ArithmeticError(f"a term is not a multiple of 2^-{scale}")
                 total += int(limb.astype(np.int64).sum()) << (j * width)
                 above = floor
-    return total / (1 << scale) if scale >= 0 else float(total << -scale)
+    return total, scale
 
 
 def _record(x: int, lhs: float, rhs: float, margin: float) -> dict:
@@ -383,9 +451,8 @@ def check_bt_bound(n: int, samples, sieve: SievedPrimes) -> Check:
 def check_logsum_bound(a: int, x: int, sieve: SievedPrimes) -> Check:
     """sum_{p <= x, p = a mod 8} ln p / p > 0.245 ln x - 3.15 for x >= 10^6, a in {1,3,5,7}."""
     _class_samples(a, (x,), "bound")
-    ps, hit = _in_class(x, 8, a, sieve)
-    sel = ps.compress(hit).astype(np.float64)
-    lhs = exact_sum(np.log(sel) / sel)
+    blocks = (ps.compress(hit).astype(np.float64) for ps, hit in _in_class(x, 8, a, sieve))
+    lhs = _streamed_sum(np.log(sel) / sel for sel in blocks)
     rhs = 0.245 * math.log(x) - 3.15
     return _sampled("logsum_bound", [_record(x, lhs, rhs, lhs - rhs)])
 

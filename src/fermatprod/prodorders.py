@@ -400,7 +400,8 @@ def _root_table(n: int, limit: int) -> _RootTable:
         while new < limit:
             new *= 2
         primes = primes_upto(new)
-        primes = primes[(primes > old) & (primes % (1 << (n + 1)) == 1)]
+        # int64: _split_roots squares residues mod p, which would wrap in the store's uint32
+        primes = primes[(primes > old) & (primes % (1 << (n + 1)) == 1)].astype(np.int64)
         # computed in int64, stored in int32: every entry is below the cap
         roots = _split_roots(n, primes).astype(np.int32)
         primes = primes.astype(np.int32)

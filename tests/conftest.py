@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from fermatprod import analytic, prodorders
@@ -39,14 +38,14 @@ def cold_engines():
 
 @pytest.fixture
 def cold_sieve(monkeypatch):
-    """An empty private prime store for the test; the process's store comes back after it.
+    """An empty private prime store, with its own buffer, for the test; the process's store comes back after it.
 
     Yields the reset function, which swaps in another empty store, for a test
     that must sieve from nothing again midway.
     """
 
     def reset():
-        analytic._store = analytic.SievedPrimes(1, np.empty(0, dtype=np.int64))
+        analytic._store = analytic._PrimeStore()
 
     # the first swap goes through monkeypatch, which restores the process's store
     monkeypatch.setattr(analytic, "_store", analytic._store)

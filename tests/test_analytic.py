@@ -1,17 +1,22 @@
 """analytic: sieves, progression counters, bound spot-checks, final inequality."""
 
-import gc
+import hashlib
 import math
+import os
 import random
+import subprocess
 import sys
 import threading
-import weakref
+import tracemalloc
+from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fermatprod import analytic
 from fermatprod.analytic import (
+    DEFAULT_SIEVE_LIMIT,
     SievedPrimes,
     check_bt_bound,
     check_logsum_bound,
@@ -49,7 +54,7 @@ def assert_matches_oracle(cold, limit, oracle=None):
         if smaller is not None:
             primes_upto(smaller)
         got = primes_upto(limit)
-        assert got.dtype == np.int64 and not got.flags.writeable, (limit, smaller)
+        assert got.dtype == np.uint32 and not got.flags.writeable, (limit, smaller)
         assert (np.diff(got) > 0).all(), (limit, smaller)  # strictly ascending, so duplicate-free
         assert np.array_equal(got, want), (limit, smaller)
 
@@ -73,6 +78,31 @@ class TestSieves:
         sieve = SievedPrimes(10**8, segmented_primes(10**8))
         assert len(sieve.primes) == 5761455
         assert check_pi_bound((10**6, 10**8), sieve).passed
+
+    @pytest.mark.long
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_sieve_to_the_cap_stays_small(self):
+        # the store takes 4 bytes per prime, 203 MB for the 50.8 million primes up to 10^9
+        script = (
+            "import sys\n"
+            "from fermatprod.cli import main\n"
+            "code = main(['analytic', '--check', 'pi', '--limit', '1e9', '--json'])\n"
+            "sys.stdout.flush()\n"
+            "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+            "print(code, int(status.split()[0]), file=sys.stderr)\n"
+        )
+        src = str(Path(analytic.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, env=env, timeout=300, check=True
+        )
+        code, hwm_kb = map(int, done.stderr.split())
+        assert code == 0
+        assert hwm_kb <= 300 * 1024, hwm_kb
+        # byte for byte the report that the int64 store, copied on each growth, gave
+        digest = "49b7e9de5503997fce8f65ec7a0de6173fa9d8097488d81cc1b68265e7c04aab"
+        assert hashlib.sha256(done.stdout).hexdigest() == digest
 
     def test_segment_size_does_not_matter(self):
         for seg in (64, 1000, 1 << 14):
@@ -126,9 +156,34 @@ class TestSieves:
         with pytest.raises(BeyondSieveError):
             pi(LIMIT + 1, SIEVE)
 
+    def test_edges_below_two(self):
+        for x in (1, 0, -1, -(10**400)):
+            got = primes_upto(x)
+            assert got.dtype == np.uint32 and len(got) == 0 and not got.flags.writeable, x
+            assert pi(x, SIEVE) == 0, x
+
+    def test_queries_allocate_no_copy_of_the_store(self):
+        # a copy of the 664,579 primes up to 10^7 widened to int64 would take 5.3 MB
+        sieve = get_sieve(DEFAULT_SIEVE_LIMIT)
+        sieve.residues(8)
+        x = sieve.limit
+        for query in (pi, lambda x, sv: pi_ap(x, 8, 3, sv), lambda x, sv: primes_upto(x)):
+            tracemalloc.start()
+            try:
+                query(x, sieve)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, (query, peak)
+
+    def test_cap_fits_the_store_dtype(self):
+        # the store is uint32, which holds every prime up to SIEVE_CAP only below 2^32
+        assert analytic.SIEVE_CAP < 2**32
+        assert primes_upto(analytic.SIEVE_CAP // 10**6).dtype == np.uint32
+
     @pytest.mark.parametrize("limit", [analytic.SIEVE_CAP + 1, 10**400])
     def test_cap_refuses_before_allocating(self, limit):
-        # only limits above the cap: a store near it keeps about 0.4 GB for the process's life
+        # only limits above the cap: a store near it keeps about 0.2 GB for the process's life
         assert analytic.SIEVE_CAP >= 10**8  # verify-all --long sieves 10^8
         with pytest.raises(InfeasibleSizeError):
             primes_upto(limit)
@@ -139,13 +194,13 @@ class TestSieves:
 def spy_on_growth(monkeypatch) -> list[tuple[int, int]]:
     """Record the range (old limit, new limit] of every growth of the prime store."""
     ranges = []
-    extended = analytic._extended
+    extend = analytic._extend
 
     def spy(store, limit):
-        ranges.append((store.limit, limit))
-        return extended(store, limit)
+        ranges.append((store.sieve.limit, limit))
+        extend(store, limit)
 
-    monkeypatch.setattr(analytic, "_extended", spy)
+    monkeypatch.setattr(analytic, "_extend", spy)
     return ranges
 
 
@@ -210,21 +265,34 @@ class TestStore:
         assert_sieved_once(ranges, STORE_TOP)
 
     @pytest.mark.parametrize("traced", [False, True])
-    def test_replaced_store_is_freed(self, cold_sieve, monkeypatch, traced):
+    def test_growth_keeps_views_and_cache(self, cold_sieve, monkeypatch, traced):
         if traced:
-            # a tracer's plain wrapper, without cache_clear, in place of the cached function
+            # a tracer's plain wrapper, without lru_cache's methods, for the cached function
             monkeypatch.setattr(analytic, "get_sieve", lambda limit: get_sieve(limit))
-        sieve = analytic.get_sieve(7919)  # a limit no other test holds
-        replaced = weakref.ref(analytic._store.primes)
-        assert sieve.primes.base is replaced()
-        assert get_sieve.cache_info().currsize >= 1
+        limit = 7927 if traced else 7919  # a limit no other test holds, so this test sieves it
+        sieve = analytic.get_sieve(limit)
+        assert analytic.get_sieve(limit) is sieve
+        view = primes_upto(limit)
+        values = view.copy()
+        cached = get_sieve.cache_info()
         primes_upto(20_011)
-        assert analytic._store.primes is not replaced()
-        assert get_sieve.cache_info().currsize == 0  # the growth dropped the cached sieves
-        assert replaced() is not None  # the caller's sieve still holds it
-        del sieve
-        gc.collect()
-        assert replaced() is None
+        grown = analytic._store.sieve.primes
+        assert len(grown) > len(view) and np.array_equal(grown[: len(view)], values)
+        # the growth wrote past the views in place: they keep their values and memory
+        for primes in (view, sieve.primes):
+            assert np.array_equal(primes, values) and np.shares_memory(primes, grown)
+        assert get_sieve.cache_info() == cached
+        assert analytic.get_sieve(limit) is sieve
+        assert get_sieve.cache_info().hits == cached.hits + 1
+
+    def test_cold_store_leaves_process_views_untouched(self, cold_sieve):
+        process = SIEVE.primes  # a view of the process's store, taken at import
+        values = process.copy()
+        for limit in (10, LIMIT // 2, 2 * LIMIT):
+            cold_sieve()
+            cold = primes_upto(limit)
+            assert not np.shares_memory(cold, process), limit
+            assert np.array_equal(process, values), limit
 
 
 class TestProgressions:
@@ -281,6 +349,30 @@ class TestAgainstReduction:
             for a in (1, 3, 5, 7):
                 lhs = check_logsum_bound(a, x, sieve).detail["records"][0]["lhs"]
                 assert lhs == logsum_by_fsum(a, x, sieve.primes), (x, a)
+
+    # (limit, x, a): theta(x; 8, a) and the logsum lhs, as float.hex, as one
+    # exact_sum over the whole class gave them before the sums were streamed
+    PINNED = {
+        (LIMIT, LIMIT, 1): ("0x1.e5e7a5a6d8270p+17", "0x1.4aa97eb961be1p+1"),
+        (LIMIT, LIMIT, 3): ("0x1.e832813b90ed4p+17", "0x1.a80a0cb586510p+1"),
+        (LIMIT, LIMIT, 5): ("0x1.e76712ea0bfa5p+17", "0x1.9b313e57d887bp+1"),
+        (LIMIT, LIMIT, 7): ("0x1.e8a883e1bc652p+17", "0x1.83a4d08e20c9cp+1"),
+        (LADDER_LIMIT, LADDER_LIMIT, 1): ("0x1.48693e396bb5fp+22", "0x1.acd25923fdefdp+1"),
+        (LADDER_LIMIT, LADDER_LIMIT, 3): ("0x1.48c871a9438c1p+22", "0x1.05241e7698a03p+2"),
+        (LADDER_LIMIT, LADDER_LIMIT, 5): ("0x1.48c172733ced2p+22", "0x1.fd7ea7987e2c8p+1"),
+        (LADDER_LIMIT, LADDER_LIMIT, 7): ("0x1.48b13d20d8ba3p+22", "0x1.e5db25b66466fp+1"),
+        (LADDER_LIMIT, 12_345_678, 1): ("0x1.78788776364a2p+21", "0x1.9b07648162aacp+1"),
+        (LADDER_LIMIT, 12_345_678, 3): ("0x1.788bcb23363dap+21", "0x1.f8716442fbf87p+1"),
+        (LADDER_LIMIT, 12_345_678, 5): ("0x1.78dcd7c15ca70p+21", "0x1.ebaef65a7fa27p+1"),
+        (LADDER_LIMIT, 12_345_678, 7): ("0x1.78c1c6f04b053p+21", "0x1.d40b2444c59e5p+1"),
+    }
+
+    def test_streamed_sums_are_pinned(self):
+        for (limit, x, a), (theta, logsum) in self.PINNED.items():
+            sieve = get_sieve(limit)
+            assert theta_ap(x, 8, a, sieve).hex() == theta, (limit, x, a)
+            lhs = check_logsum_bound(a, x, sieve).detail["records"][0]["lhs"]
+            assert lhs.hex() == logsum, (limit, x, a)
 
     def test_residue_cache(self):
         sieve = SievedPrimes(LIMIT, primes_upto(LIMIT))
@@ -366,14 +458,31 @@ def fsum_or_overflow(values: np.ndarray):
         return OverflowError
 
 
-def assert_sums_like_fsum(values: np.ndarray) -> None:
+def assert_sums_like_fsum(values: np.ndarray, blocks=None) -> None:
+    """exact_sum(values) is math.fsum(values), and so is the streamed sum of blocks, if given.
+
+    The blocks hold the terms of values, in any order.
+    """
     want = fsum_or_overflow(values)
-    if want is OverflowError:
-        with pytest.raises(OverflowError):
-            exact_sum(values)
-    else:
-        got = exact_sum(values)
-        assert got == want and math.copysign(1.0, got) == 1.0, (got, want)
+    sums = [lambda: exact_sum(values)]
+    if blocks is not None:
+        sums.append(lambda: analytic._streamed_sum(iter(blocks)))
+    for total in sums:
+        if want is OverflowError:
+            with pytest.raises(OverflowError):
+                total()
+        else:
+            got = total()
+            assert got == want and math.copysign(1.0, got) == 1.0, (got, want)
+
+
+def split_at_random(rng: np.random.Generator, values: np.ndarray) -> list[np.ndarray]:
+    """values cut at random into blocks, shuffled, with empty, all-zero and one-term blocks."""
+    blocks = np.split(values, np.sort(rng.integers(0, len(values) + 1, 12)))
+    blocks += [values[:0], np.zeros(3)]
+    if len(values):
+        blocks.append(values[rng.integers(len(values), size=1)])
+    return [blocks[i] for i in rng.permutation(len(blocks))]
 
 
 class TestExactSum:
@@ -396,6 +505,39 @@ class TestExactSum:
             assert_sums_like_fsum(np.array(values, dtype=np.float64))
 
         check()
+
+    def test_streamed_blocks_match_fsum(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        finite = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+        mantissa = st.floats(0.5, 1.0, exclude_max=True)
+        spread = st.builds(math.ldexp, mantissa, st.integers(-1073, 1024))
+        block = st.lists(finite | spread, max_size=20) | st.lists(st.just(0.0), max_size=4)
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(st.lists(block, max_size=8))
+        def check(blocks):
+            blocks = [np.array(b, dtype=np.float64) for b in blocks]
+            assert_sums_like_fsum(np.concatenate([np.empty(0), *blocks]), blocks)
+
+        check()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_splits(self, seed):
+        rng = np.random.default_rng(seed)
+        # three exponent bands that do not overlap: subnormal to 2^-900, around 1, and high
+        bands = [
+            np.ldexp(rng.random(size), rng.integers(lo, hi, size))
+            for lo, hi, size in ((-1074, -900, 300), (-20, 20, 3000), (900, 1000, 300))
+        ]
+        values = np.concatenate(bands)
+        for order in permutations(bands):
+            assert_sums_like_fsum(values, list(order))
+        logs = np.log(primes_upto(10**5).astype(np.float64))
+        for terms in (values, logs):
+            blocks = split_at_random(rng, terms)
+            assert_sums_like_fsum(np.concatenate(blocks), blocks)
 
     @pytest.mark.parametrize("length_from_chunk", [-1, 0, 1])
     @pytest.mark.parametrize("chunks", [1, 3, 32])
