@@ -32,7 +32,6 @@ from .cyclotomic import (
 from .ntcore import (
     RootSet,
     count_roots_upto,
-    hensel_lift,
     is_prime,
     roots_of_minus_one,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "extreme_partition",
     "final_inequality_crossing",
     "final_inequality_margin",
-    "hensel_lift",
     "is_prime",
     "is_qth_power_obstructed",
     "iter_realizable_systems",

@@ -26,7 +26,7 @@ from .errors import (
     InvalidSystemError,
     TooFewRootsError,
 )
-from .ntcore import is_prime, lifted_roots, roots_of_minus_one
+from .ntcore import is_prime, lifted_roots, odd_powers, roots_of_minus_one
 from .partitions import PARTITION_MAX_N, big_n, enumerate_partitions, r_bound
 
 
@@ -149,14 +149,8 @@ def _min_level(r: int, n: int) -> int:
 
 def _root_exponents(n: int, p: int, xs: Sequence[int]) -> list[int]:
     """Odd exponents e_i with w^(e_i) = -x_i (mod p), w the least root of x^(2^n) = -1."""
-    rs = roots_of_minus_one(n, p)
-    w = rs.roots[0]
-    w2 = w * w % p
-    exp_of = {}
-    cur = w
-    for t in range(1, 1 << (n + 1), 2):
-        exp_of[cur] = t
-        cur = cur * w2 % p
+    w = roots_of_minus_one(n, p).roots[0]
+    exp_of = dict(zip(odd_powers(w, n, p), range(1, 2 << n, 2)))
     try:
         return [exp_of[(-x) % p] for x in xs]
     except KeyError as err:

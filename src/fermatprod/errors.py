@@ -9,10 +9,6 @@ class NotSplittingError(FermatprodError):
     """x^(2^n) = -1 has no solution modulo p (p is not 1 mod 2^(n+1))."""
 
 
-class NotARootError(FermatprodError):
-    """The supplied residue is not a root of x^(2^n) + 1 modulo p."""
-
-
 class InfeasibleSizeError(FermatprodError):
     """The requested computation exceeds the supported desk-scale cap."""
 

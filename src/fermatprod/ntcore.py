@@ -1,4 +1,4 @@
-"""Modular arithmetic kernels: primality, 2^n-th roots of -1, Hensel lifting.
+"""Modular arithmetic kernels: primality, the 2^n-th roots of -1 mod p and mod p^j.
 
 Every primality test of the package lives here: is_prime below 2^64, and
 is_probable_prime (Baillie-PSW above 2^64) for cofactor splitting.
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .errors import InternalRefusalError, NotARootError, NotSplittingError
+from .errors import InternalRefusalError, NotSplittingError
 
 # Strong-pseudoprime witness set covering every composite below 2^64
 # (Sinclair's seven bases, checked against the Feitsma-Galway SPRP tables).
@@ -154,12 +154,33 @@ def is_probable_prime(v: int) -> bool:
 
 
 def _least_nonresidue(p: int) -> int:
-    """Smallest quadratic non-residue modulo the odd prime p."""
-    g = 2
+    """Smallest quadratic non-residue modulo the odd prime p.
+
+    It is at most isqrt(p) + 1.  For the least non-residue g, m = ceil(p/g)
+    is a non-residue too, since g*m - p is a positive residue below g; so
+    g <= m < p/g + 1, that is g(g-1) < p.  A p with no non-residue up to
+    that bound is not prime, and NotSplittingError says so.
+    """
     half = (p - 1) >> 1
-    while pow(g, half, p) != p - 1:
-        g += 1
-    return g
+    bound = isqrt(p) + 1
+    for g in range(2, bound + 1):
+        if pow(g, half, p) == p - 1:
+            return g
+    raise NotSplittingError(f"{p} is not prime: it has no quadratic non-residue up to {bound}")
+
+
+def odd_powers(z, n: int, mod):
+    """[z, z^3, ..., z^(2^(n+1)-1)] reduced mod `mod`: the 2^n odd powers of z.
+
+    For z of order 2^(n+1) these are all the roots of x^(2^n) = -1.  The
+    same code runs on Python ints and elementwise on int64 arrays, where it
+    is exact while mod^2 < 2^63.
+    """
+    z2 = z * z % mod
+    powers = [z]
+    for _ in range((1 << n) - 1):
+        powers.append(powers[-1] * z2 % mod)
+    return powers
 
 
 @lru_cache(maxsize=ROOT_CACHE_SIZE)
@@ -170,7 +191,8 @@ def roots_of_minus_one(n: int, p: int) -> RootSet:
     has no solutions and NotSplittingError is raised.  The construction is
     deterministic: the smallest quadratic non-residue g gives the primitive
     2^(n+1)-th root of unity z = g^((p-1)/2^(n+1)), and the roots are the odd
-    powers of z.
+    powers of z.  A composite p whose non-residue search passes its bound
+    also raises NotSplittingError.
     """
     if n < 1:
         raise ValueError(f"exponent level must be >= 1, got {n}")
@@ -179,47 +201,30 @@ def roots_of_minus_one(n: int, p: int) -> RootSet:
             f"x^(2^{n}) = -1 has no roots mod {p}: {p} is not 1 mod {1 << (n + 1)}"
         )
     z = pow(_least_nonresidue(p), (p - 1) >> (n + 1), p)
-    z2 = z * z % p
-    roots = []
-    r = z
-    for _ in range(1 << n):
-        roots.append(r)
-        r = r * z2 % p
-    roots.sort()
-    return RootSet(n=n, modulus=p, roots=tuple(roots))
-
-
-def hensel_lift(n: int, p: int, r: int, j: int) -> int:
-    """Lift the root r of x^(2^n)+1 mod p to the unique root mod p^j.
-
-    Uses Newton steps with doubling precision; valid because the derivative
-    2^n * r^(2^n - 1) is a unit mod p for odd p.  Returns the canonical
-    representative in [0, p^j).
-    """
-    if j < 1:
-        raise ValueError(f"target exponent must be >= 1, got {j}")
-    e = 1 << n
-    r %= p
-    if pow(r, e, p) != p - 1:
-        raise NotARootError(f"{r} is not a root of x^(2^{n})+1 mod {p}")
-    s, k = r, 1
-    while k < j:
-        k = min(2 * k, j)
-        mod = p**k
-        fs = (pow(s, e, mod) + 1) % mod
-        ds = e * pow(s, e - 1, mod) % mod
-        s = (s - fs * pow(ds, -1, mod)) % mod
-    return s
+    return RootSet(n=n, modulus=p, roots=tuple(sorted(odd_powers(z, n, p))))
 
 
 @lru_cache(maxsize=ROOT_CACHE_SIZE)
 def lifted_roots(n: int, p: int, j: int) -> RootSet:
-    """RootSet of x^(2^n) = -1 modulo p^j, lifted from the roots mod p."""
+    """RootSet of x^(2^n) = -1 modulo p^j, for j >= 1.
+
+    For j >= 2 the roots are the odd powers of the Teichmueller lift
+    Z = w^(p^(j-1)) mod p^j of w, the least root mod p.  Z = w (mod p),
+    because w^p = w (mod p), and Z^(p-1) = 1 (mod p^j), because the units
+    mod p^j form a group of order p^(j-1)*(p-1).  So Z has w's order
+    2^(n+1), Z^(2^n) = -1, and its 2^n odd powers are roots that differ
+    already mod p.  The derivative 2^n*x^(2^n-1) is a unit mod p, so by
+    Hensel's lemma each of the 2^n roots mod p lifts to exactly one root
+    mod p^j: these are all of them.
+    """
+    if j < 1:
+        raise ValueError(f"target exponent must be >= 1, got {j}")
     base = roots_of_minus_one(n, p)
     if j == 1:
         return base
-    roots = tuple(sorted(hensel_lift(n, p, r, j) for r in base.roots))
-    return RootSet(n=n, modulus=p**j, roots=roots)
+    mod = p**j
+    z = pow(base.roots[0], p ** (j - 1), mod)
+    return RootSet(n=n, modulus=mod, roots=tuple(sorted(odd_powers(z, n, mod))))
 
 
 def count_roots_upto(n: int, p: int, j: int, m: int) -> int:

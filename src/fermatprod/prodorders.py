@@ -46,6 +46,7 @@ from .ntcore import (
     count_roots_upto,
     is_prime,
     is_probable_prime,
+    odd_powers,
     roots_of_minus_one,
 )
 
@@ -348,14 +349,19 @@ def _split_roots(n: int, primes: np.ndarray) -> np.ndarray:
     The construction of ntcore.roots_of_minus_one, vectorised: for the least
     g with g^((p-1)/2) = -1, z = g^((p-1)/2^(n+1)) is a primitive
     2^(n+1)-th root of unity, so its 2^n odd powers are distinct and are all
-    the roots.  Every entry is checked to satisfy r^(2^n) = -1 (mod p).
+    the roots.  The search for g stops with ArithmeticError past
+    ntcore._least_nonresidue's bound isqrt(p) + 1 for the largest p.  Every
+    entry is checked to satisfy r^(2^n) = -1 (mod p).
     """
     col = primes[:, None]
     z = np.zeros_like(primes)
     todo = np.arange(len(primes))
     expo = (primes - 1) >> (n + 1)
+    bound = isqrt(int(primes.max(initial=0))) + 1
     g = 2
     while todo.size:
+        if g > bound:
+            raise ArithmeticError(f"{todo.size} split primes have no non-residue up to {bound}")
         p = primes[todo]
         c = _powmod_array(np.full_like(p, g), expo[todo], p)
         t = c
@@ -365,11 +371,7 @@ def _split_roots(n: int, primes: np.ndarray) -> np.ndarray:
         z[todo[hit]] = c[hit]
         todo = todo[~hit]
         g += 1
-    z2 = z * z % primes
-    powers = [z]
-    for _ in range((1 << n) - 1):
-        powers.append(powers[-1] * z2 % primes)
-    roots = np.stack(powers, axis=1)
+    roots = np.stack(odd_powers(z, n, primes), axis=1)
     check = roots
     for _ in range(n):
         check = check * check % col

@@ -119,6 +119,25 @@ def split_primes_by_trial(n: int, limit: int) -> list[int]:
     return [p for p in range(step + 1, limit + 1, step) if is_prime_by_trial(p)]
 
 
+def hensel_lift_by_newton(n: int, p: int, r: int, j: int) -> int:
+    """The root mod p^j of x^(2^n)+1 above its root r mod p, by Newton steps.
+
+    Precision doubles each step; valid because the derivative
+    2^n * r^(2^n - 1) is a unit mod p for odd p.
+    """
+    e = 1 << n
+    if pow(r, e, p) != p - 1:
+        raise ValueError(f"{r} is not a root of x^(2^{n})+1 mod {p}")
+    s, k = r % p, 1
+    while k < j:
+        k = min(2 * k, j)
+        mod = p**k
+        fs = (pow(s, e, mod) + 1) % mod
+        ds = e * pow(s, e - 1, mod) % mod
+        s = (s - fs * pow(ds, -1, mod)) % mod
+    return s
+
+
 def orders_by_scan(n: int, p: int, x_limit: int) -> dict[int, int]:
     """ord_p(x^(2^n)+1) for every x in [1, x_limit] it divides, scanning every x.
 

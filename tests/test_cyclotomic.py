@@ -17,7 +17,7 @@ from fermatprod.cyclotomic import (
     single_entry_search,
 )
 from fermatprod.errors import HypothesisUnmetError, InvalidSystemError, TooFewRootsError
-from fermatprod.ntcore import hensel_lift
+from fermatprod.ntcore import lifted_roots
 from fermatprod.partitions import big_n, r_bound
 from oracles import (
     counterexample_by_scan,
@@ -45,6 +45,12 @@ def binomial_coeffs(a, b, level, tp):
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
     return coeffs
+
+
+def lift(n, p, r, j):
+    """The member of lifted_roots(n, p, j) that is r mod p."""
+    (x,) = [x for x in lifted_roots(n, p, j).roots if x % p == r]
+    return x
 
 
 def norm_cases(level, seed):
@@ -205,7 +211,7 @@ class TestSystems:
 
 class TestPrimeBound:
     def test_norm_branch_example(self):
-        x1 = hensel_lift(2, 17, 2, 3)
+        x1 = lift(2, 17, 2, 3)
         s = CongruenceSystem.make(2, 17, ((x1, 3), (2, 1), (8, 1)))
         cert = check_prime_bound(s)
         # at m = 0 the norm limit is the bound 2(x + 1) itself
@@ -266,7 +272,7 @@ class TestPrimeBound:
         assert count > 10
 
     def test_constructed_systems_cover_all_branches(self):
-        # systems built from Hensel lifts exercise every certificate shape:
+        # systems built from lifted roots exercise every certificate shape:
         # the direct order branch and norm branches at levels 1..3
         from fermatprod.ntcore import roots_of_minus_one
 
@@ -274,7 +280,7 @@ class TestPrimeBound:
         roots = roots_of_minus_one(n, p).roots
 
         def lift_entry(idx, j):
-            return hensel_lift(n, p, roots[idx], j)
+            return lift(n, p, roots[idx], j)
 
         cases = []
         # [8, 3, 1, 1] keeps s below r_bound(0, 3) = 5, so only r=1 with

@@ -1,24 +1,26 @@
-"""ntcore: primality, root finding, Hensel lifting, interval counting."""
+"""ntcore: primality, root finding, lifting to p^j, interval counting."""
 
 import functools
+import time
 
 import pytest
 
 from fermatprod.errors import (
     FermatprodError,
     InternalRefusalError,
-    NotARootError,
     NotSplittingError,
 )
 from fermatprod.ntcore import (
     PRIMALITY_LIMIT,
     ROOT_CACHE_SIZE,
+    _least_nonresidue,
     count_roots_upto,
-    hensel_lift,
     is_prime,
     lifted_roots,
     roots_of_minus_one,
 )
+from fermatprod.prodorders import alpha_p
+from oracles import hensel_lift_by_newton, segmented_primes
 
 
 def brute_roots(n, mod):
@@ -115,36 +117,70 @@ class TestRootsOfMinusOne:
             for r in rs.roots:
                 assert (p - r) in rs.roots
 
+    def test_composite_modulus_raises(self):
+        # each modulus is 1 mod 2^(n+1), and no g <= isqrt(p) + 1 has g^((p-1)/2) = -1
+        start = time.perf_counter()
+        with pytest.raises(NotSplittingError, match="not prime"):
+            roots_of_minus_one(1, 21)
+        with pytest.raises(NotSplittingError, match="not prime"):
+            alpha_p(10, 1, 9)
+        with pytest.raises(NotSplittingError, match="not prime"):
+            count_roots_upto(2, 25, 1, 100)
+        assert time.perf_counter() - start < 1
+
+    def test_nonresidue_bound_admits_every_prime(self):
+        # the least non-residue g of a prime has g(g-1) < p, so the search
+        # bound isqrt(p) + 1 never refuses a prime
+        for p in segmented_primes(10**6)[1:].tolist():
+            g = _least_nonresidue(p)
+            assert g * (g - 1) < p and pow(g, (p - 1) // 2, p) == p - 1, p
+
+
+def first_split_primes(n, count=2):
+    step = 1 << (n + 1)
+    return [p for p in range(step + 1, 100 * step, step) if is_prime(p)][:count]
+
+
+def newton_lifts(n, p, j):
+    return tuple(sorted(hensel_lift_by_newton(n, p, r, j) for r in roots_of_minus_one(n, p).roots))
+
 
 class TestHenselLift:
     def test_identity_at_level_one(self):
-        assert hensel_lift(2, 17, 2, 1) == 2
+        assert lifted_roots(2, 17, 1) == roots_of_minus_one(2, 17)
 
     def test_known_lifts(self):
-        assert hensel_lift(2, 17, 2, 2) == 155  # brute: only x < 289 with x^4 = -1, x = 2 mod 17
-        assert hensel_lift(1, 5, 2, 2) == 7
+        assert 155 in lifted_roots(2, 17, 2).roots  # brute: only x < 289 with x^4 = -1, x = 2 mod 17
+        assert lifted_roots(1, 5, 2).roots == (7, 18)
 
     def test_matches_brute_force(self):
-        for n, p in ((1, 5), (1, 13), (2, 17), (2, 41)):
-            e = 1 << n
-            for r in roots_of_minus_one(n, p).roots:
-                got = hensel_lift(n, p, r, 2)
-                want = [x for x in brute_roots(n, p * p) if x % p == r]
-                assert [got] == want, (n, p, r)
+        for n in range(1, 7):
+            for p in first_split_primes(n):
+                for j in range(1, 6):
+                    if p**j > 70_000:
+                        break
+                    assert lifted_roots(n, p, j).roots == brute_roots(n, p**j), (n, p, j)
 
     def test_lift_consistency(self):
-        for n, p in ((1, 5), (2, 17), (2, 1297), (3, 97)):
-            for r in roots_of_minus_one(n, p).roots:
-                prev = r
-                for j in range(2, 6):
-                    cur = hensel_lift(n, p, r, j)
-                    assert cur % p ** (j - 1) == prev, (n, p, r, j)
-                    assert (pow(cur, 1 << n, p**j) + 1) % p**j == 0
-                    prev = cur
+        # against Newton's lifts at every j, and each level reduces to the one below
+        for n in range(1, 7):
+            for p in first_split_primes(n):
+                prev = None
+                for j in range(1, 6):
+                    got = lifted_roots(n, p, j).roots
+                    assert got == newton_lifts(n, p, j), (n, p, j)
+                    assert all(pow(r, 1 << n, p**j) == p**j - 1 for r in got)
+                    if prev:
+                        assert sorted(r % p ** (j - 1) for r in got) == list(prev), (n, p, j)
+                    prev = got
 
-    def test_rejects_non_root(self):
-        with pytest.raises(NotARootError):
-            hensel_lift(2, 17, 3, 2)
+    def test_prime_above_2_63(self):
+        p = 242**8 + 1  # a link prime of chain 3
+        assert p > 1 << 63 and is_prime(p)
+        rs = lifted_roots(3, p, 2)
+        assert rs.roots == newton_lifts(3, p, 2)
+        assert len({r % p for r in rs.roots}) == 8
+        assert all(pow(r, 8, p * p) == p * p - 1 for r in rs.roots)
 
     def test_caches_are_bounded(self):
         for cached in (roots_of_minus_one, lifted_roots):
@@ -156,6 +192,8 @@ class TestHenselLift:
         assert len(rs.roots) == 4
         for r in rs.roots:
             assert rs.modulus - r in rs.roots  # negation closure survives lifting
+        with pytest.raises(ValueError):
+            lifted_roots(2, 17, 0)
 
 
 class TestCountRoots:
@@ -268,7 +306,7 @@ class TestPropertiesAgainstBruteForce:
         p = data.draw(st.sampled_from([p for p in split if p**j <= 30_000]), label="p")
         return n, p, j
 
-    def test_hensel_lift(self):
+    def test_lifted_roots(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
 
@@ -276,9 +314,7 @@ class TestPropertiesAgainstBruteForce:
         @hypothesis.given(st.data())
         def check(data):
             n, p, j = self.modulus(data, st)
-            r = data.draw(st.sampled_from(roots_of_minus_one(n, p).roots), label="r")
-            want = [x for x in brute_roots(n, p**j) if x % p == r]
-            assert [hensel_lift(n, p, r, j)] == want
+            assert lifted_roots(n, p, j).roots == brute_roots(n, p**j)
 
         check()
 

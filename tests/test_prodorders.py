@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -197,6 +198,16 @@ class TestStripAndSplit:
         assert got[: len(want)] == want
         for p, row in zip(want, table.roots.tolist()):
             assert tuple(sorted(row)) == roots_of_minus_one(n, p).roots, (n, p)
+
+    def test_split_roots_refuses_wrapped_arithmetic(self):
+        # uint32 squares of residues of these primes wrap, so no g passes the
+        # non-residue test; the search stops at isqrt(p) + 1 instead of hanging
+        step = 1 << 3
+        primes = [p for p in range((1 << 17) + 1, (1 << 17) + 100 * step, step) if is_prime(p)]
+        start = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="non-residue"):
+            prodorders._split_roots(2, np.array(primes[:20], dtype=np.uint32))
+        assert time.perf_counter() - start < 1
 
     def test_root_table_is_read_only(self):
         table = prodorders._root_table(2, 1 << 12)
