@@ -17,13 +17,15 @@ store against an independent pure-Python segmented sieve.  All logarithms
 are natural.
 
 A progression query reads the residues of the sieve's primes modulo q from
-a cache kept on the sieve: they are computed once per modulus, one byte per
-prime for q <= 256, and released with the sieve.  The queries stream over
-the sieve one block of 2^20 primes at a time, so no temporary spans the
-class.  Log-weighted sums are exact: each block's float64 terms are added as
-integers and the total is rounded once, so a sum returns what math.fsum
-would, bit for bit.  A bound only counts as passed when its margin exceeds
-1e-9, otherwise it is flagged ambiguous.
+a cache kept on the prime store: one array per modulus, one byte per prime
+for q <= 256, of which every sieve of the store reads a prefix.  A longer
+sieve computes only the residues past the cached ones, and its array
+replaces the shorter one.  The queries stream over the sieve one block of
+2^20 primes at a time, so no temporary spans the class.  Log-weighted sums
+are exact: each block's float64 terms are added as integers and the total
+is rounded once, so a sum returns what math.fsum would, bit for bit.  A
+bound only counts as passed when its margin exceeds 1e-9, otherwise it is
+flagged ambiguous.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from __future__ import annotations
 import math
 import mmap
 import threading
-import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt
@@ -53,16 +54,14 @@ MARGIN_EPS = 1e-9
 
 @dataclass(frozen=True)
 class SievedPrimes:
-    """All primes up to limit, ascending, duplicate-free, in a read-only array."""
+    """All primes up to limit, ascending, duplicate-free, in a read-only array.
+
+    residue_cache holds residues by modulus: the prime store's, via get_sieve, or its own.
+    """
 
     limit: int
     primes: np.ndarray
-    _residues: dict[int, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False
-    )
+    residue_cache: dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.primes.flags.writeable = False
@@ -70,21 +69,26 @@ class SievedPrimes:
     def residues(self, q: int) -> np.ndarray:
         """primes % q in the smallest unsigned dtype holding q - 1, read-only.
 
-        Computed once per modulus, 2^20 primes at a time, as primes & (q - 1)
-        when q is a power of two (about half the time of %), and kept until
-        the sieve is dropped.  A published array is never mutated.
+        A prefix of the cached array for q, once that covers the sieve.  A
+        miss copies the cached residues and computes the tail 2^20 primes at
+        a time, as primes & (q - 1) when q is a power of two (about half the
+        time of %); the new array replaces the shorter one.  A published
+        array is never mutated, so a caller holding a replaced one is safe.
         """
-        res = self._residues.get(q)
-        if res is not None:
-            return res
+        k = len(self.primes)
+        res = self.residue_cache.get(q)
+        if res is not None and len(res) >= k:
+            return res[:k]
         if q < 1:
             raise ValueError(f"modulus must be positive, got q={q}")
-        with self._lock:
-            res = self._residues.get(q)
-            if res is not None:
-                return res
-            res = np.empty(len(self.primes), dtype=np.min_scalar_type(q - 1))
-            for lo in range(0, len(res), _BLOCK):
+        with _residues_lock:
+            head = self.residue_cache.get(q)
+            if head is not None and len(head) >= k:
+                return head[:k]
+            res = np.empty(k, dtype=np.min_scalar_type(q - 1))
+            done = 0 if head is None else len(head)
+            res[:done] = () if head is None else head
+            for lo in range(done, k, _BLOCK):
                 chunk = self.primes[lo : lo + _BLOCK]
                 # a q past the limit leaves every prime its own residue, and
                 # q - 1 may not fit the primes' dtype
@@ -92,8 +96,12 @@ class SievedPrimes:
                     chunk = chunk & (q - 1) if q & (q - 1) == 0 else chunk % q
                 res[lo : lo + _BLOCK] = chunk
             res.flags.writeable = False
-            self._residues[q] = res
+            self.residue_cache[q] = res
             return res
+
+
+# serialises every residue fill; a reader takes a cached array without locking
+_residues_lock = threading.Lock()
 
 
 # Flag i of the sieve stands for the odd number 2i + 1.  The odd multiples of
@@ -160,11 +168,13 @@ class _PrimeStore:
     SIEVE_CAP, and never resized, moved or replaced after it; only its
     written pages take memory.  A growth writes past the published prefix
     and then publishes a longer one, so no published view is ever written
-    to.  Each store owns its buffer.
+    to.  Each store owns its buffer, and residue_cache, which every sieve
+    from get_sieve shares.
     """
 
     def __init__(self) -> None:
         self.buf = np.empty(0, dtype=np.uint32)
+        self.residue_cache: dict[int, np.ndarray] = {}
         self.sieve = SievedPrimes(1, self.buf[:0])
 
 
@@ -240,25 +250,16 @@ def _extend(store: _PrimeStore, limit: int) -> None:
     store.sieve = SievedPrimes(limit, out[:size])
 
 
-# every live sieve by limit, so concurrent first callers, and callers after an
-# lru eviction, share one object and its residue cache
-_sieves: weakref.WeakValueDictionary[int, SievedPrimes] = weakref.WeakValueDictionary()
-_sieves_lock = threading.Lock()
-
-
 @lru_cache(maxsize=4)
 def get_sieve(limit: int) -> SievedPrimes:
     """The cached sieve of the primes up to limit: a read-only prefix view of the prime store.
 
-    Each sieve is made once, under a module lock, and every caller gets the
-    sieve it published.  A growth of the store moves nothing, so a cached
-    sieve stays valid and the cache is never emptied.
+    Every sieve of the store shares its residue cache, so two records of one
+    limit, as concurrent first callers may get, share their primes and
+    residues alike.  A growth of the store moves nothing, so a cached sieve
+    stays valid and the cache is never emptied.
     """
-    with _sieves_lock:
-        sv = _sieves.get(limit)
-        if sv is None:
-            sv = _sieves[limit] = SievedPrimes(limit, primes_upto(limit))
-        return sv
+    return SievedPrimes(limit, primes_upto(limit), _store.residue_cache)
 
 
 def pi(x: int, sieve: SievedPrimes) -> int:

@@ -233,13 +233,10 @@ def _cmd_verify_all(args) -> tuple[dict, Check]:
 
     def analytic_check():
         limit = 10**8 if args.long else 10**7
-        sieve = analytic.get_sieve(limit)
-        reports = [analytic.check_pi_bound((10**6, limit), sieve)]
-        for n in (2, 3):
-            reports.append(analytic.check_bt_bound(n, None, sieve))
-        for a in (1, 3, 5, 7):
-            reports.append(analytic.check_logsum_bound(a, 10**6, sieve))
-            reports.append(analytic.check_theta_window(a, (10**6, limit), sieve))
+        # (kind, n, a), each on sieve_check's default points
+        kinds = [("pi", 2, 1), ("bt", 2, 1), ("bt", 3, 1)]
+        kinds += [(kind, 2, a) for a in (1, 3, 5, 7) for kind in ("logsum", "theta")]
+        reports = [analytic.sieve_check(kind, limit, (), n, a) for kind, n, a in kinds]
         if not all(r.passed for r in reports):
             bad = next(r.name for r in reports if not r.passed)
             return False, f"bound {bad} failed"

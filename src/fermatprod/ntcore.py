@@ -1,7 +1,7 @@
 """Modular arithmetic kernels: primality, the 2^n-th roots of -1 mod p and mod p^j.
 
 Every primality test of the package lives here: is_prime below 2^64, and
-is_probable_prime (Baillie-PSW above 2^64) for cofactor splitting.
+is_probable_prime (Baillie-PSW above 2^64) for cofactors and root moduli.
 
 Everything operates on plain Python integers, so results stay exact at any
 size; CPython's native pow() provides the fast path below machine word sizes
@@ -142,9 +142,9 @@ def is_probable_prime(v: int) -> bool:
 
     Baillie-PSW (a strong base-2 round plus a strong Lucas test with
     Selfridge's parameters) is a probable-prime test, not a proof: no
-    composite passing it is known, and none exists below 2^64.  It is used
-    only to split cofactors of x^(2^n)+1 (prodorders), where every prime
-    reported is also checked to lie in the admissible residue class.
+    composite passing it is known, and none exists below 2^64.  It vets the
+    p of roots_of_minus_one and splits cofactors of x^(2^n)+1 (prodorders),
+    whose primes are also checked to lie in the admissible residue class.
     """
     if v < PRIMALITY_LIMIT:
         return is_prime(v)
@@ -187,12 +187,11 @@ def odd_powers(z, n: int, mod):
 def roots_of_minus_one(n: int, p: int) -> RootSet:
     """All 2^n residues r with r^(2^n) = -1 (mod p), ascending.
 
-    p must be an odd prime with p = 1 (mod 2^(n+1)); otherwise the congruence
-    has no solutions and NotSplittingError is raised.  The construction is
-    deterministic: the smallest quadratic non-residue g gives the primitive
-    2^(n+1)-th root of unity z = g^((p-1)/2^(n+1)), and the roots are the odd
-    powers of z.  A composite p whose non-residue search passes its bound
-    also raises NotSplittingError.
+    p must be an odd prime with p = 1 (mod 2^(n+1)), else NotSplittingError
+    is raised: the congruence has no solutions, or, for a composite p, more
+    than the construction finds.  The construction is deterministic: the
+    smallest quadratic non-residue g gives the primitive 2^(n+1)-th root of
+    unity z = g^((p-1)/2^(n+1)), and the roots are the odd powers of z.
     """
     if n < 1:
         raise ValueError(f"exponent level must be >= 1, got {n}")
@@ -200,6 +199,8 @@ def roots_of_minus_one(n: int, p: int) -> RootSet:
         raise NotSplittingError(
             f"x^(2^{n}) = -1 has no roots mod {p}: {p} is not 1 mod {1 << (n + 1)}"
         )
+    if not is_probable_prime(p):
+        raise NotSplittingError(f"roots of x^(2^{n}) = -1 are made mod a prime only: {p} is not prime")
     z = pow(_least_nonresidue(p), (p - 1) >> (n + 1), p)
     return RootSet(n=n, modulus=p, roots=tuple(sorted(odd_powers(z, n, p))))
 

@@ -376,30 +376,55 @@ class TestAgainstReduction:
 
     def test_residue_cache(self):
         sieve = SievedPrimes(LIMIT, primes_upto(LIMIT))
+        assert sieve.residue_cache is not analytic._store.residue_cache  # built directly: its own
         dtypes = {1: np.uint8, 8: np.uint8, 256: np.uint8, 257: np.uint16, 300: np.uint16}
         for q, dtype in dtypes.items():
             res = sieve.residues(q)
             assert res.dtype == dtype and not res.flags.writeable, q
             assert np.array_equal(res, sieve.primes % q), q
-            assert sieve.residues(q) is res
+            again = sieve.residues(q)
+            assert len(again) == len(res) and np.shares_memory(again, res), q
+        assert sorted(sieve.residue_cache) == sorted(dtypes)
         with pytest.raises(ValueError):
             sieve.residues(0)
         with pytest.raises(ValueError):
             pi_ap(100, -8, 1, sieve)
 
-    def test_concurrent_first_callers_share_one_sieve(self):
-        limit = 5_000_003  # no other test asks for it, so the threads build it
+    def test_smaller_sieve_reads_a_prefix_of_the_larger_ones_residues(self, cold_sieve):
+        # limits no other test asks for, so get_sieve makes them from the cold store
+        small, middle, large = (get_sieve(limit) for limit in (1_000_033, 1_500_007, 2_000_003))
+        middle.residues(8)  # a shorter fill first, which the larger one extends
+        filled = large.residues(8)
+        assert analytic._store.residue_cache == {8: filled}
+        for sieve in (small, middle):
+            tracemalloc.start()
+            try:
+                res = sieve.residues(8)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # a copy would take one byte per prime, 78,500 bytes and more
+            assert peak < 1 << 10, (sieve.limit, peak)
+            assert np.shares_memory(res, filled), sieve.limit
+            assert np.array_equal(res, sieve.primes % 8), sieve.limit
+
+    def test_concurrent_first_callers_share_residues(self, cold_sieve):
+        # limits no other test asks for, so the threads sieve them from the cold store
+        limits = (3_000_017, 3_500_017)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             barrier = threading.Barrier(4)
-            handed = []
+            seen = []
 
-            def build():
+            def query(limit, qs):
                 barrier.wait()
-                handed.append(get_sieve(limit))
+                sieve = get_sieve(limit)
+                seen.extend((sieve, q, sieve.residues(q)) for q in qs)
 
-            threads = [threading.Thread(target=build) for _ in range(4)]
+            # two threads on each limit, one starting on each modulus
+            jobs = [(limit, qs) for limit in limits for qs in ((8, 16), (16, 8))]
+            threads = [threading.Thread(target=query, args=job) for job in jobs]
             for t in threads:
                 t.start()
             for t in threads:
@@ -407,45 +432,62 @@ class TestAgainstReduction:
             assert not any(t.is_alive() for t in threads)
         finally:
             sys.setswitchinterval(interval)
-        assert len(handed) == 4 and all(sv is handed[0] for sv in handed)
+        cache = analytic._store.residue_cache
+        assert len(seen) == 8 and sorted(cache) == [8, 16]
+        for sieve, q, res in seen:
+            assert sieve.residue_cache is cache
+            assert np.array_equal(res, sieve.primes % q), (sieve.limit, q)
+            # every sieve now reads a prefix of the store's one array for q
+            assert len(cache[q]) == len(primes_upto(max(limits))) and not cache[q].flags.writeable
+            assert np.shares_memory(sieve.residues(q), cache[q]), (sieve.limit, q)
 
     def test_concurrent_queries_share_one_residue_array(self):
-        x, odd = LIMIT - 1, (1, 3, 5, 7)
+        # a long and a short sieve on one private cache, raced on two moduli
+        short = LIMIT // 2
         ps = SIEVE.primes
         want = {
-            q: [(pi_ap_by_reduction(x, q, a, ps), theta_ap_by_fsum(x, q, a, ps)) for a in odd]
+            (x, q): [(pi_ap_by_reduction(x, q, a, ps), theta_ap_by_fsum(x, q, a, ps)) for a in (1, 3, 5, 7)]
+            for x in (LIMIT - 1, short - 1)
             for q in (8, 16)
         }
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for first, second in ((8, 16), (16, 8)):
-                sieve = SievedPrimes(LIMIT, ps)
+                cache = {}
+                sieves = [
+                    SievedPrimes(LIMIT, ps, cache),
+                    SievedPrimes(short, ps[: pi(short, SIEVE)], cache),
+                ]
                 cached = get_sieve(LIMIT)
                 barrier = threading.Barrier(4)
                 got, seen, handed = [], [], []
 
-                def query(qs):
+                def query(sieve, qs):
                     barrier.wait()
+                    x = sieve.limit - 1
                     for q in qs:
-                        values = [(pi_ap(x, q, a, sieve), theta_ap(x, q, a, sieve)) for a in odd]
-                        got.append((q, values))
-                        seen.append((q, sieve.residues(q)))
+                        values = [(pi_ap(x, q, a, sieve), theta_ap(x, q, a, sieve)) for a in (1, 3, 5, 7)]
+                        got.append(((x, q), values))
+                        seen.append((sieve, q, sieve.residues(q)))
                         handed.append(get_sieve(LIMIT))
 
-                # two threads start on each modulus; one of each order arrives first
-                orders = [(first, second), (second, first)] * 2
-                threads = [threading.Thread(target=query, args=(qs,)) for qs in orders]
+                # two threads start on each modulus, one on each sieve
+                jobs = [(sieve, qs) for qs in ((first, second), (second, first)) for sieve in sieves]
+                threads = [threading.Thread(target=query, args=job) for job in jobs]
                 for t in threads:
                     t.start()
                 for t in threads:
                     t.join(timeout=120)
                 assert not any(t.is_alive() for t in threads)
-                assert len(got) == 8 and all(values == want[q] for q, values in got)
-                assert sorted(sieve._residues) == [8, 16]
-                for q, res in seen:
-                    assert res is sieve._residues[q] and not res.flags.writeable
+                assert len(got) == 8 and all(values == want[key] for key, values in got)
+                assert sorted(cache) == [8, 16]
+                for sieve, q, res in seen:
+                    assert len(cache[q]) == len(ps) and not res.flags.writeable
+                    assert np.array_equal(res, sieve.primes % q)
+                    assert np.shares_memory(sieve.residues(q), cache[q])
                 assert all(sv is cached for sv in handed)
+                assert cached.residue_cache is analytic._store.residue_cache
                 assert not cached.primes.flags.writeable
         finally:
             sys.setswitchinterval(interval)

@@ -126,7 +126,23 @@ class TestRootsOfMinusOne:
             alpha_p(10, 1, 9)
         with pytest.raises(NotSplittingError, match="not prime"):
             count_roots_upto(2, 25, 1, 100)
+        with pytest.raises(NotSplittingError, match="not prime"):
+            _least_nonresidue(21)
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("p", [325, 485, 901, 949, 1157])
+    def test_composite_with_a_nonresidue_raises(self, p):
+        # p = 1 mod 4 has a non-residue up to isqrt(p) + 1, whose powers give
+        # two of the roots of x^2 = -1 mod p; 325 has four: 18, 57, 268, 307
+        assert not is_prime(p) and _least_nonresidue(p)
+        for call in (
+            lambda: roots_of_minus_one(1, p),
+            lambda: lifted_roots(1, p, 2),
+            lambda: count_roots_upto(1, p, 1, 1000),
+            lambda: alpha_p(100, 1, p),
+        ):
+            with pytest.raises(NotSplittingError, match="not prime"):
+                call()
 
     def test_nonresidue_bound_admits_every_prime(self):
         # the least non-residue g of a prime has g(g-1) < p, so the search
