@@ -20,11 +20,15 @@ A progression query reads the residues of the sieve's primes modulo q from
 a cache kept on the prime store: one array per modulus, one byte per prime
 for q <= 256, of which every sieve of the store reads a prefix.  A longer
 sieve computes only the residues past the cached ones, and its array
-replaces the shorter one.  The queries stream over the sieve one block of
-2^20 primes at a time, so no temporary spans the class.  Log-weighted sums
-are exact: each block's float64 terms are added as integers and the total
-is rounded once, so a sum returns what math.fsum would, bit for bit.  A
-bound only counts as passed when its margin exceeds 1e-9, otherwise it is
+replaces the shorter one.  The queries split the sieve into fixed blocks of
+2^16 primes, so no temporary spans the class, and each block's total in a
+class is exact: its count, or its float64 terms added as integers.  The
+totals of whole blocks are kept on the store too, by kind, modulus, class
+and block; the store only appends, so a whole block never changes, and a
+query computes only its last, partial block and the whole blocks no earlier
+query reached.  A log-weighted sum adds its blocks' exact totals and is
+rounded once, so it returns what math.fsum would, bit for bit.  A bound
+only counts as passed when its margin exceeds 1e-9, otherwise it is
 flagged ambiguous.
 """
 
@@ -56,12 +60,17 @@ MARGIN_EPS = 1e-9
 class SievedPrimes:
     """All primes up to limit, ascending, duplicate-free, in a read-only array.
 
-    residue_cache holds residues by modulus: the prime store's, via get_sieve, or its own.
+    residue_cache holds residues by modulus, and block_totals the exact class
+    totals of whole blocks (see _class_parts): the prime store's, via
+    get_sieve, or the sieve's own.
     """
 
     limit: int
     primes: np.ndarray
     residue_cache: dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
+    block_totals: dict[tuple, int | tuple[int, int]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.primes.flags.writeable = False
@@ -70,10 +79,11 @@ class SievedPrimes:
         """primes % q in the smallest unsigned dtype holding q - 1, read-only.
 
         A prefix of the cached array for q, once that covers the sieve.  A
-        miss copies the cached residues and computes the tail 2^20 primes at
-        a time, as primes & (q - 1) when q is a power of two (about half the
-        time of %); the new array replaces the shorter one.  A published
-        array is never mutated, so a caller holding a replaced one is safe.
+        miss copies the cached residues and computes the tail one block of
+        2^16 primes at a time, as primes & (q - 1) when q is a power of two
+        (about half the time of %); the new array replaces the shorter one.
+        A published array is never mutated, so a caller holding a replaced
+        one is safe.
         """
         k = len(self.primes)
         res = self.residue_cache.get(q)
@@ -114,9 +124,11 @@ _WHEEL = np.logical_and.reduce(
 # 2^20 one-byte flags: a segment stays in a core's 2 MB L2 cache while every
 # base prime strikes it
 _SEGMENT = 1 << 20
-# primes per step of a pass over a sieve, in a residue fill and in a class
-# sum: each step's temporaries take a few MB, whatever the sieve's size
-_BLOCK = 1 << 20
+# primes per block of a pass over a sieve, in a residue fill and in a class
+# total: a block's temporaries take well under 1 MB, whatever the sieve's
+# size, and a query past the cached whole blocks computes at most one
+# partial block, so a small block keeps that tail cheap
+_BLOCK = 1 << 16
 # 2^15 terms per exact_sum step: its float64 temporaries stay in L2 cache,
 # and a sum of 2^15 limbs below 2^48 stays below 2^63
 _SUM_CHUNK_BITS = 15
@@ -168,13 +180,15 @@ class _PrimeStore:
     SIEVE_CAP, and never resized, moved or replaced after it; only its
     written pages take memory.  A growth writes past the published prefix
     and then publishes a longer one, so no published view is ever written
-    to.  Each store owns its buffer, and residue_cache, which every sieve
-    from get_sieve shares.
+    to.  Each store owns its buffer, and residue_cache and block_totals,
+    which every sieve from get_sieve shares: a block of the store is the same
+    primes in every prefix that holds it whole.
     """
 
     def __init__(self) -> None:
         self.buf = np.empty(0, dtype=np.uint32)
         self.residue_cache: dict[int, np.ndarray] = {}
+        self.block_totals: dict[tuple, int | tuple[int, int]] = {}
         self.sieve = SievedPrimes(1, self.buf[:0])
 
 
@@ -254,12 +268,12 @@ def _extend(store: _PrimeStore, limit: int) -> None:
 def get_sieve(limit: int) -> SievedPrimes:
     """The cached sieve of the primes up to limit: a read-only prefix view of the prime store.
 
-    Every sieve of the store shares its residue cache, so two records of one
-    limit, as concurrent first callers may get, share their primes and
-    residues alike.  A growth of the store moves nothing, so a cached sieve
-    stays valid and the cache is never emptied.
+    Every sieve of the store shares its residue cache and block totals, so
+    two records of one limit, as concurrent first callers may get, share
+    their primes, residues and totals alike.  A growth of the store moves
+    nothing, so a cached sieve stays valid and the cache is never emptied.
     """
-    return SievedPrimes(limit, primes_upto(limit), _store.residue_cache)
+    return SievedPrimes(limit, primes_upto(limit), _store.residue_cache, _store.block_totals)
 
 
 def pi(x: int, sieve: SievedPrimes) -> int:
@@ -269,29 +283,58 @@ def pi(x: int, sieve: SievedPrimes) -> int:
     return _rank(sieve.primes, x)
 
 
-def _in_class(x: int, q: int, a: int, sieve: SievedPrimes):
-    """Blocks of _BLOCK primes p <= x, each with the mask of its p = a (mod q).
+def _class_parts(kind: str, x: int, q: int, a: int, sieve: SievedPrimes) -> list:
+    """kind's total over the primes p <= x with p = a (mod q), one part per block of _BLOCK primes.
 
-    Requires gcd(a, q) = 1; the arguments are checked, and the residues
-    made, before the blocks are handed out.  Callers select with compress,
-    which runs about 3x faster here than a boolean index.
+    kind "count" makes a part the block's count of the class; "theta" and
+    "logsum" make it the exact (T, S) of _scaled_total over the block's
+    ln p, or ln p / p.  A whole block's part is kept in sieve.block_totals
+    under (kind, q, a mod q, block index), and read from there after: the
+    store only appends, so the blocks below pi(x) never change.  So only
+    the last, partial block, and the whole blocks no earlier query reached,
+    are computed.  Threads that race on a missing block each compute it and
+    store equal parts.  Requires gcd(a, q) = 1; the arguments are checked,
+    and the residues made, before any block is read.
     """
     if gcd(a, q) != 1:
         raise ValueError(f"need gcd(a, q) = 1, got a={a}, q={q}")
     k = pi(x, sieve)
-    ps, res, r = sieve.primes[:k], sieve.residues(q)[:k], a % q
-    return ((ps[lo : lo + _BLOCK], res[lo : lo + _BLOCK] == r) for lo in range(0, k, _BLOCK))
+    ps, res, r = sieve.primes, sieve.residues(q), a % q
+    totals = sieve.block_totals
+    parts = []
+    for i, lo in enumerate(range(0, k, _BLOCK)):
+        whole = lo + _BLOCK <= k
+        part = totals.get((kind, q, r, i)) if whole else None
+        if part is None:
+            hi = min(lo + _BLOCK, k)
+            part = _block_part(kind, ps[lo:hi], res[lo:hi] == r)
+            if whole:
+                totals[kind, q, r, i] = part
+        parts.append(part)
+    return parts
+
+
+def _block_part(kind: str, ps: np.ndarray, hit: np.ndarray) -> int | tuple[int, int]:
+    """One block's part of a class total, as _class_parts keeps it; hit masks the class.
+
+    The class is selected with compress, which runs about 3x faster here
+    than a boolean index.
+    """
+    if kind == "count":
+        return int(np.count_nonzero(hit))
+    sel = ps.compress(hit).astype(np.float64)
+    terms = np.log(sel)
+    return _scaled_total(terms / sel if kind == "logsum" else terms)
 
 
 def pi_ap(x: int, q: int, a: int, sieve: SievedPrimes) -> int:
     """Number of primes p <= x with p = a (mod q); requires gcd(a, q) = 1."""
-    return sum(int(np.count_nonzero(hit)) for _, hit in _in_class(x, q, a, sieve))
+    return sum(_class_parts("count", x, q, a, sieve))
 
 
 def theta_ap(x: int, q: int, a: int, sieve: SievedPrimes) -> float:
     """Chebyshev theta(x; q, a) = sum of ln p over primes p <= x, p = a (mod q)."""
-    blocks = _in_class(x, q, a, sieve)
-    return _streamed_sum(np.log(ps.compress(hit).astype(np.float64)) for ps, hit in blocks)
+    return _streamed_sum(_class_parts("theta", x, q, a, sieve))
 
 
 def exact_sum(terms: np.ndarray) -> float:
@@ -307,22 +350,21 @@ def exact_sum(terms: np.ndarray) -> float:
     not an integer at scale 2^-S, or exceeds the top limb, raises
     ArithmeticError.  Nothing is ever rounded but the final quotient.
     """
-    return _streamed_sum((terms,))
+    return _streamed_sum((_scaled_total(terms),))
 
 
-def _streamed_sum(blocks) -> float:
-    """exact_sum of the terms of every block together, reading one block at a time.
+def _streamed_sum(parts) -> float:
+    """exact_sum of the terms of every block together, from each block's exact (T, S).
 
-    Each block's exact total is an integer at the block's own scale 2^-s.
-    The running total, an integer at scale 2^-scale, moves to the finest
-    scale seen so far; starting from scale 0, that only ever shifts an
-    integer left, so the total stays exact, and the one rounding is the
-    final quotient: the result is exact_sum's over the concatenated blocks,
-    bit for bit.
+    Each part T 2^-S, as _scaled_total returns it, is an integer at its
+    block's own scale.  The running total, an integer at scale 2^-scale,
+    moves to the finest scale seen so far; starting from scale 0, that only
+    ever shifts an integer left, so the total stays exact, and the one
+    rounding is the final quotient: the result is exact_sum's over the
+    concatenated blocks, bit for bit, in any order of the parts.
     """
     total, scale = 0, 0
-    for block in blocks:
-        part, s = _scaled_total(block)
+    for part, s in parts:
         if s > scale:
             total <<= s - scale
             scale = s
@@ -452,8 +494,7 @@ def check_bt_bound(n: int, samples, sieve: SievedPrimes) -> Check:
 def check_logsum_bound(a: int, x: int, sieve: SievedPrimes) -> Check:
     """sum_{p <= x, p = a mod 8} ln p / p > 0.245 ln x - 3.15 for x >= 10^6, a in {1,3,5,7}."""
     _class_samples(a, (x,), "bound")
-    blocks = (ps.compress(hit).astype(np.float64) for ps, hit in _in_class(x, 8, a, sieve))
-    lhs = _streamed_sum(np.log(sel) / sel for sel in blocks)
+    lhs = _streamed_sum(_class_parts("logsum", x, 8, a, sieve))
     rhs = 0.245 * math.log(x) - 3.15
     return _sampled("logsum_bound", [_record(x, lhs, rhs, lhs - rhs)])
 
@@ -472,10 +513,10 @@ def sieve_check(kind: str, limit: int, xs: tuple[int, ...], n: int, a: int) -> C
     """The analytic command's check of one kind ("pi", "bt", "logsum", "theta") up to limit.
 
     Empty xs takes the default points: 10^6 and limit for pi and theta,
-    10^6 for logsum, ten log-spaced points from 4^(n+1) for bt; logsum reads
-    only the first x.  Every argument is refused, with the error the check
-    itself raises, before the sieve is made, so a refused check sieves
-    nothing and leaves the prime store as it was.
+    10^6 for logsum, ten log-spaced points from 4^(n+1) for bt.  Every
+    argument is refused, with the error the check itself raises, before the
+    sieve is made, so a refused check sieves nothing and leaves the prime
+    store as it was.
     """
     _refuse_past_cap(limit)
     default = tuple(sorted({10**6, limit}))
@@ -486,8 +527,10 @@ def sieve_check(kind: str, limit: int, xs: tuple[int, ...], n: int, a: int) -> C
         samples = _bt_samples(n, xs or None, limit)
         return check_bt_bound(n, samples, get_sieve(limit))
     if kind == "logsum":
-        (x,) = _class_samples(a, xs[:1] or (10**6,), "bound")
-        return check_logsum_bound(a, x, get_sieve(limit))
+        samples = _class_samples(a, xs or (10**6,), "bound")
+        sieve = get_sieve(limit)
+        records = [r for x in samples for r in check_logsum_bound(a, x, sieve).detail["records"]]
+        return _sampled("logsum_bound", records)
     if kind == "theta":
         samples = _class_samples(a, xs or default, "window")
         return check_theta_window(a, samples, get_sieve(limit))

@@ -21,6 +21,11 @@ from .errors import InternalRefusalError, NotSplittingError
 # Strong-pseudoprime witness set covering every composite below 2^64
 # (Sinclair's seven bases, checked against the Feitsma-Galway SPRP tables).
 _MR_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+# Below 4,759,123,141, the least strong pseudoprime to them all, the bases 2,
+# 7 and 61 suffice (Jaeschke, Math. Comp. 61, 1993); most p the root tables
+# vet lie there.
+_MR_BASES_SMALL = (2, 7, 61)
+_MR_SMALL_LIMIT = 4_759_123_141
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 PRIMALITY_LIMIT = 1 << 64
@@ -68,7 +73,9 @@ def _strong_probable_prime(v: int, bases: tuple[int, ...]) -> bool:
 def is_prime(v: int) -> bool:
     """Deterministic primality for 0 <= v < 2^64.
 
-    Inputs at or above 2^64 are refused with InternalRefusalError rather
+    Trial division by the primes up to 47, then strong probable-prime rounds
+    to Jaeschke's three bases below 4,759,123,141 and to Sinclair's seven
+    from there up.  Inputs at or above 2^64 are refused with InternalRefusalError rather
     than answered probabilistically; is_probable_prime covers them where a
     probable prime will do.
     """
@@ -79,7 +86,7 @@ def is_prime(v: int) -> bool:
     for p in _SMALL_PRIMES:
         if v % p == 0:
             return v == p
-    return _strong_probable_prime(v, _MR_BASES_64)
+    return _strong_probable_prime(v, _MR_BASES_SMALL if v < _MR_SMALL_LIMIT else _MR_BASES_64)
 
 
 def _jacobi(a: int, n: int) -> int:

@@ -377,6 +377,11 @@ class TestAgainstReduction:
     def test_residue_cache(self):
         sieve = SievedPrimes(LIMIT, primes_upto(LIMIT))
         assert sieve.residue_cache is not analytic._store.residue_cache  # built directly: its own
+        assert sieve.block_totals is not analytic._store.block_totals  # and its own totals
+        stored = dict(analytic._store.block_totals)
+        assert theta_ap(LIMIT, 8, 1, sieve) == theta_ap_by_fsum(LIMIT, 8, 1, sieve.primes)
+        assert list(sieve.block_totals) == [("theta", 8, 1, 0)]  # the one whole block of 10^6
+        assert analytic._store.block_totals == stored
         dtypes = {1: np.uint8, 8: np.uint8, 256: np.uint8, 257: np.uint16, 300: np.uint16}
         for q, dtype in dtypes.items():
             res = sieve.residues(q)
@@ -493,6 +498,138 @@ class TestAgainstReduction:
             sys.setswitchinterval(interval)
 
 
+def block_edges(sieve: SievedPrimes) -> list[int]:
+    """The x with pi(x) = i B - 1, i B and i B + 1 for each whole block i, B = _BLOCK, where the sieve has them."""
+    B, ps = analytic._BLOCK, sieve.primes
+    counts = [i * B + d for i in range(1, len(ps) // B + 1) for d in (-1, 0, 1)]
+    return [int(ps[k - 1]) for k in counts if k <= len(ps)]
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """A list that gets one entry per call of analytic.<name>, which keeps working."""
+    calls, fn = [], getattr(analytic, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(analytic, name, counted)
+    return calls
+
+
+# (q, a) pairs of the block-total tests; logsum is defined on q = 8 only
+CLASSES = ((8, 1), (8, 7), (16, 9), (3, 2))
+
+
+def class_queries(x: int, sieve: SievedPrimes) -> dict:
+    """Every class query at x: pi_ap and theta_ap on CLASSES, and the logsum lhs where it is defined."""
+    got = {}
+    for q, a in CLASSES:
+        got["pi", q, a] = pi_ap(x, q, a, sieve)
+        got["theta", q, a] = theta_ap(x, q, a, sieve)
+        if q == 8 and x >= 10**6:
+            got["logsum", q, a] = check_logsum_bound(a, x, sieve).detail["records"][0]["lhs"]
+    return got
+
+
+def class_oracles(x: int, sieve: SievedPrimes) -> dict:
+    """class_queries(x, sieve) by the per-query reduction and math.fsum."""
+    ps = sieve.primes
+    want = {}
+    for q, a in CLASSES:
+        want["pi", q, a] = pi_ap_by_reduction(x, q, a, ps)
+        want["theta", q, a] = theta_ap_by_fsum(x, q, a, ps)
+        if q == 8 and x >= 10**6:
+            want["logsum", q, a] = logsum_by_fsum(a, x, ps)
+    return want
+
+
+class TestBlockTotals:
+    """The class totals of whole blocks, cached on the store or on a sieve, against the oracles."""
+
+    def test_block_edges_cold_then_warm(self, cold_sieve):
+        sieve = get_sieve(2_800_001)  # a limit no other test asks for: the cold store's
+        xs = block_edges(sieve)
+        assert len(xs) == 9  # three whole blocks
+        want = {x: class_oracles(x, sieve) for x in xs}
+        # ascending, each query reaches one whole block past the earlier ones;
+        # descending, on a private sieve, the first query computes every block;
+        # then every query again, warm
+        private = SievedPrimes(sieve.limit, sieve.primes)
+        for sv, order in ((sieve, xs), (private, xs[::-1]), (sieve, xs), (private, xs)):
+            for x in order:
+                assert class_queries(x, sv) == want[x], (sv is sieve, x)
+        B = analytic._BLOCK
+        for totals in (sieve.block_totals, private.block_totals):
+            assert sorted(i for kind, q, r, i in totals if (kind, q, r) == ("theta", 16, 9)) == [0, 1, 2]
+        assert sieve.block_totals is analytic._store.block_totals
+        # a cached part is the block's own total
+        block = sieve.primes[B : 2 * B]
+        assert sieve.block_totals["count", 3, 2, 1] == int(np.count_nonzero(block % 3 == 2))
+        terms = np.log(block[block % 8 == 7].astype(np.float64))
+        assert sieve.block_totals["theta", 8, 7, 1] == analytic._scaled_total(terms)
+
+    def test_sieves_of_the_store_read_each_others_totals(self, cold_sieve, monkeypatch):
+        # limits no other test asks for, so get_sieve makes them from the cold store
+        small, large = get_sieve(1_900_009), get_sieve(2_900_017)
+        assert small.block_totals is large.block_totals is analytic._store.block_totals
+        whole = [len(sv.primes) // analytic._BLOCK for sv in (small, large)]
+        assert whole == [2, 3]
+        calls = count_calls(monkeypatch, "_scaled_total")
+        # the larger sieve first, for class 3: the smaller one then sums only its partial block
+        assert theta_ap(large.limit, 8, 3, large) == theta_ap_by_fsum(large.limit, 8, 3, large.primes)
+        assert len(calls) == whole[1] + 1
+        assert theta_ap(small.limit, 8, 3, small) == theta_ap_by_fsum(small.limit, 8, 3, small.primes)
+        assert len(calls) == whole[1] + 2
+        # the smaller first, for class 5: the larger one then sums its third whole block and its partial one
+        del calls[:]
+        assert theta_ap(small.limit, 8, 5, small) == theta_ap_by_fsum(small.limit, 8, 5, small.primes)
+        assert len(calls) == whole[0] + 1
+        assert theta_ap(large.limit, 8, 5, large) == theta_ap_by_fsum(large.limit, 8, 5, large.primes)
+        assert len(calls) == whole[0] + 1 + (whole[1] - whole[0]) + 1
+
+    def test_warm_query_sums_only_its_partial_block(self, monkeypatch):
+        # a private sieve of 20 whole blocks and a partial one
+        sieve = SievedPrimes(LADDER_LIMIT, get_sieve(LADDER_LIMIT).primes)
+        assert len(sieve.primes) // analytic._BLOCK == 20
+        x = LADDER_LIMIT - 1
+        cold = theta_ap(x, 8, 3, sieve)
+        calls = count_calls(monkeypatch, "_scaled_total")
+        assert theta_ap(x, 8, 3, sieve) == cold == theta_ap_by_fsum(x, 8, 3, sieve.primes)
+        assert len(calls) == 1 and len(calls[0][0]) < analytic._BLOCK
+
+    def test_concurrent_cold_queries_agree(self, cold_sieve):
+        sieve = get_sieve(2_700_001)  # a limit no other test asks for: the cold store's
+        xs = block_edges(sieve)[-3:] + [sieve.limit]
+        want = {x: class_oracles(x, sieve) for x in xs}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            barrier = threading.Barrier(4)
+            got = []
+
+            def query(order):
+                barrier.wait()
+                got.extend((x, class_queries(x, sieve)) for x in order)
+
+            # two threads run the points ascending, two descending
+            orders = [xs, xs[::-1], xs, xs[::-1]]
+            threads = [threading.Thread(target=query, args=(order,)) for order in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(got) == 4 * len(xs) and all(values == want[x] for x, values in got)
+        # the parts the threads stored are the ones a private sieve computes alone
+        private = SievedPrimes(sieve.limit, sieve.primes)
+        for x in xs:
+            class_queries(x, private)
+        assert analytic._store.block_totals == private.block_totals
+
+
 def fsum_or_overflow(values: np.ndarray):
     try:
         return math.fsum(values.tolist())
@@ -508,7 +645,7 @@ def assert_sums_like_fsum(values: np.ndarray, blocks=None) -> None:
     want = fsum_or_overflow(values)
     sums = [lambda: exact_sum(values)]
     if blocks is not None:
-        sums.append(lambda: analytic._streamed_sum(iter(blocks)))
+        sums.append(lambda: analytic._streamed_sum(analytic._scaled_total(b) for b in blocks))
     for total in sums:
         if want is OverflowError:
             with pytest.raises(OverflowError):

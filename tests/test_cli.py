@@ -241,6 +241,18 @@ class TestAnalytic:
         doc = json.loads(out)
         assert doc["payload"]["records"][0]["status"] == "pass"
 
+    def test_logsum_checks_every_x(self, capsys):
+        code, out = run(
+            capsys,
+            "analytic", "--check", "logsum", "--a", "3", "--x", "2000000", "--x", "3000000", "--json",
+        )
+        assert code == 0
+        records = json.loads(out)["payload"]["records"]
+        assert [r["x"] for r in records] == [2_000_000, 3_000_000]
+        sieve = analytic.get_sieve(3_000_000)
+        for r in records:
+            assert r == analytic.check_logsum_bound(3, r["x"], sieve).detail["records"][0]
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["analytic", "--check", "nonsense"])

@@ -1,10 +1,12 @@
 """ntcore: primality, root finding, lifting to p^j, interval counting."""
 
 import functools
+import random
 import time
 
 import pytest
 
+from fermatprod import ntcore
 from fermatprod.errors import (
     FermatprodError,
     InternalRefusalError,
@@ -62,9 +64,23 @@ class TestIsPrime:
         for v in (3215031751, 3825123056546413051, 341550071728321, 318665857834031151167461):
             if v < PRIMALITY_LIMIT:
                 assert not is_prime(v), v
+        # 48,781 * 97,561, the least strong pseudoprime to the bases 2, 7 and 61,
+        # where is_prime switches to the seven bases
+        assert ntcore._strong_probable_prime(4759123141, ntcore._MR_BASES_SMALL)
+        assert not is_prime(4759123141)
+        assert 3215031751 == 151 * 751 * 28351 and 4759123141 == 48781 * 97561
         # Carmichael numbers
         for v in (561, 1105, 1729, 41041, 825265):
             assert not is_prime(v), v
+
+    def test_agrees_with_sympy_across_the_base_switch(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(2033)
+        switch = ntcore._MR_SMALL_LIMIT
+        values = [rng.randrange(1 << 33) for _ in range(20_000)]
+        values += range(switch - 10**4, switch + 10**4 + 1)
+        for v in values:
+            assert is_prime(v) == sympy.isprime(v), v
 
     def test_large_primes(self):
         assert is_prime((1 << 61) - 1)  # Mersenne
