@@ -8,28 +8,24 @@ primes_upto(limit) returns a read-only prefix view of it, and get_sieve
 caches such views as sieves, which every caller passes.  A limit past the
 store grows it in place by a segmented sieve of Eratosthenes (Bays and
 Hudson, 1977) over the odd numbers the store does not reach yet, one
-cache-sized segment of flags at a time: the multiples of 3..13 are struck by
-a tiled wheel pattern, the other base primes are read from the store itself,
-and each segment's primes are written straight into the buffer past the
-published prefix.  So each integer is sieved once per process, and a view
-handed out before a growth stays valid after it; the test suite checks the
-store against an independent pure-Python segmented sieve.  All logarithms
-are natural.
+cache-sized segment of flags at a time: the multiples of 3..13 are copied
+in from one period of a wheel pattern, the other base primes are read from
+the store itself, and each segment's primes are written straight into the
+buffer past the published prefix.  So each integer is sieved once per
+process, and a view handed out before a growth stays valid after it; the
+test suite checks the store against an independent pure-Python segmented
+sieve.  All logarithms are natural.
 
-A progression query reads the residues of the sieve's primes modulo q from
-a cache kept on the prime store: one array per modulus, one byte per prime
-for q <= 256, of which every sieve of the store reads a prefix.  A longer
-sieve computes only the residues past the cached ones, and its array
-replaces the shorter one.  The queries split the sieve into fixed blocks of
-2^16 primes, so no temporary spans the class, and each block's total in a
-class is exact: its count, or its float64 terms added as integers.  The
-totals of whole blocks are kept on the store too, by kind, modulus, class
-and block; the store only appends, so a whole block never changes, and a
-query computes only its last, partial block and the whole blocks no earlier
-query reached.  A log-weighted sum adds its blocks' exact totals and is
-rounded once, so it returns what math.fsum would, bit for bit.  A bound
-only counts as passed when its margin exceeds 1e-9, otherwise it is
-flagged ambiguous.
+A progression query splits the sieve into fixed blocks of 2^16 primes and
+masks each block's class from the block's own primes, so no temporary
+spans the sieve, and each block's total in a class is exact: its count, or
+its float64 terms added as integers.  The totals of whole blocks are kept
+on the store, by kind, modulus, class and block; the store only appends,
+so a whole block never changes, and a query computes only its last,
+partial block and the whole blocks no earlier query reached.  A
+log-weighted sum adds its blocks' exact totals and is rounded once, so it
+returns what math.fsum would, bit for bit.  A bound only counts as passed
+when its margin exceeds 1e-9, otherwise it is flagged ambiguous.
 """
 
 from __future__ import annotations
@@ -50,7 +46,8 @@ DEFAULT_SIEVE_LIMIT = 10_000_000
 # The largest limit primes_upto sieves.  The store keeps its primes as uint32,
 # so it must stay below 2^32.  The flags exist one segment at a time, but the
 # store keeps 4 bytes per prime for the process's life: 203 MB at 10^9, where
-# analytic --check pi --limit 1e9 peaks at 230 MB resident.
+# analytic --check pi --limit 1e9 and --check theta --a 3 --limit 1e9 each
+# peak at 239 MB resident (VmHWM, Linux x86-64).
 # verify-all --long and the sieve benchmark sieve 10^8.
 SIEVE_CAP = 10**9
 MARGIN_EPS = 1e-9
@@ -60,14 +57,12 @@ MARGIN_EPS = 1e-9
 class SievedPrimes:
     """All primes up to limit, ascending, duplicate-free, in a read-only array.
 
-    residue_cache holds residues by modulus, and block_totals the exact class
-    totals of whole blocks (see _class_parts): the prime store's, via
-    get_sieve, or the sieve's own.
+    block_totals holds the exact class totals of whole blocks (see
+    _class_parts): the prime store's, via get_sieve, or the sieve's own.
     """
 
     limit: int
     primes: np.ndarray
-    residue_cache: dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
     block_totals: dict[tuple, int | tuple[int, int]] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -75,48 +70,10 @@ class SievedPrimes:
     def __post_init__(self) -> None:
         self.primes.flags.writeable = False
 
-    def residues(self, q: int) -> np.ndarray:
-        """primes % q in the smallest unsigned dtype holding q - 1, read-only.
-
-        A prefix of the cached array for q, once that covers the sieve.  A
-        miss copies the cached residues and computes the tail one block of
-        2^16 primes at a time, as primes & (q - 1) when q is a power of two
-        (about half the time of %); the new array replaces the shorter one.
-        A published array is never mutated, so a caller holding a replaced
-        one is safe.
-        """
-        k = len(self.primes)
-        res = self.residue_cache.get(q)
-        if res is not None and len(res) >= k:
-            return res[:k]
-        if q < 1:
-            raise ValueError(f"modulus must be positive, got q={q}")
-        with _residues_lock:
-            head = self.residue_cache.get(q)
-            if head is not None and len(head) >= k:
-                return head[:k]
-            res = np.empty(k, dtype=np.min_scalar_type(q - 1))
-            done = 0 if head is None else len(head)
-            res[:done] = () if head is None else head
-            for lo in range(done, k, _BLOCK):
-                chunk = self.primes[lo : lo + _BLOCK]
-                # a q past the limit leaves every prime its own residue, and
-                # q - 1 may not fit the primes' dtype
-                if q <= self.limit:
-                    chunk = chunk & (q - 1) if q & (q - 1) == 0 else chunk % q
-                res[lo : lo + _BLOCK] = chunk
-            res.flags.writeable = False
-            self.residue_cache[q] = res
-            return res
-
-
-# serialises every residue fill; a reader takes a cached array without locking
-_residues_lock = threading.Lock()
-
 
 # Flag i of the sieve stands for the odd number 2i + 1.  The odd multiples of
 # the wheel primes recur with period 3*5*7*11*13 = 15015 flags, so they are
-# struck once, in a pattern the sieve tiles.
+# struck once, in a pattern the sieve copies into each segment.
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)
 _WHEEL = np.logical_and.reduce(
     [np.arange(math.prod(_WHEEL_PRIMES)) % p != p // 2 for p in _WHEEL_PRIMES]
@@ -124,10 +81,9 @@ _WHEEL = np.logical_and.reduce(
 # 2^20 one-byte flags: a segment stays in a core's 2 MB L2 cache while every
 # base prime strikes it
 _SEGMENT = 1 << 20
-# primes per block of a pass over a sieve, in a residue fill and in a class
-# total: a block's temporaries take well under 1 MB, whatever the sieve's
-# size, and a query past the cached whole blocks computes at most one
-# partial block, so a small block keeps that tail cheap
+# primes per block of a class total: a block's temporaries take well under
+# 1 MB, whatever the sieve's size, and a query past the cached whole blocks
+# computes at most one partial block, so a small block keeps that tail cheap
 _BLOCK = 1 << 16
 # 2^15 terms per exact_sum step: its float64 temporaries stay in L2 cache,
 # and a sum of 2^15 limbs below 2^48 stays below 2^63
@@ -180,14 +136,13 @@ class _PrimeStore:
     SIEVE_CAP, and never resized, moved or replaced after it; only its
     written pages take memory.  A growth writes past the published prefix
     and then publishes a longer one, so no published view is ever written
-    to.  Each store owns its buffer, and residue_cache and block_totals,
-    which every sieve from get_sieve shares: a block of the store is the same
-    primes in every prefix that holds it whole.
+    to.  Each store owns its buffer and block_totals, which every sieve from
+    get_sieve shares: a block of the store is the same primes in every prefix
+    that holds it whole.
     """
 
     def __init__(self) -> None:
         self.buf = np.empty(0, dtype=np.uint32)
-        self.residue_cache: dict[int, np.ndarray] = {}
         self.block_totals: dict[tuple, int | tuple[int, int]] = {}
         self.sieve = SievedPrimes(1, self.buf[:0])
 
@@ -224,10 +179,11 @@ def _extend(store: _PrimeStore, limit: int) -> None:
     """Write the primes in (store.sieve.limit, limit] into the buffer and publish them.
 
     Needs store.sieve.limit >= isqrt(limit).  Only the odd numbers past the
-    store are sieved, one segment of flags at a time: the wheel pattern
-    tiled from the segment's phase, then the base primes 17..isqrt(limit)
-    struck, then the survivors written straight into the buffer past the
-    published prefix, where no view reads.
+    store are sieved, one segment of flags at a time: one period of the
+    wheel pattern from the segment's phase, doubled in place until it fills
+    the segment, then the base primes 17..isqrt(limit) struck, then the
+    survivors written straight into the buffer past the published prefix,
+    where no view reads.
     """
     old = store.sieve
     out = store.buf
@@ -240,14 +196,19 @@ def _extend(store: _PrimeStore, limit: int) -> None:
     first = base * base // 2  # flag of p^2
     residue = base // 2  # flag i holds an odd multiple of p iff i = p // 2 (mod p)
     start, end = (old.limit + 1) // 2, (limit + 1) // 2  # flags of the odd numbers in the range
-    wheel = np.resize(_WHEEL, min(_SEGMENT, end - start) + len(_WHEEL))
     flags = np.empty(min(_SEGMENT, end - start), dtype=bool)
     # segments end at multiples of _SEGMENT flags, wherever the store ended
     edges = [start, *range((start // _SEGMENT + 1) * _SEGMENT, end, _SEGMENT), end]
     for lo, hi in zip(edges, edges[1:]):
         seg = flags[: hi - lo]
-        phase = lo % len(_WHEEL)
-        seg[:] = wheel[phase : phase + len(seg)]
+        phase, done = lo % len(_WHEEL), min(len(seg), len(_WHEEL))
+        head = min(done, len(_WHEEL) - phase)
+        seg[:head] = _WHEEL[phase : phase + head]
+        seg[head:done] = _WHEEL[: done - head]
+        while done < len(seg):  # done is a whole number of periods
+            step = min(done, len(seg) - done)
+            seg[done : done + step] = seg[:step]
+            done += step
         for p in _WHEEL_PRIMES:  # the pattern strikes the wheel primes too
             if lo <= p // 2 < hi:
                 seg[p // 2 - lo] = True
@@ -268,12 +229,12 @@ def _extend(store: _PrimeStore, limit: int) -> None:
 def get_sieve(limit: int) -> SievedPrimes:
     """The cached sieve of the primes up to limit: a read-only prefix view of the prime store.
 
-    Every sieve of the store shares its residue cache and block totals, so
-    two records of one limit, as concurrent first callers may get, share
-    their primes, residues and totals alike.  A growth of the store moves
-    nothing, so a cached sieve stays valid and the cache is never emptied.
+    Every sieve of the store shares its block totals, so two records of one
+    limit, as concurrent first callers may get, share their primes and
+    totals alike.  A growth of the store moves nothing, so a cached sieve
+    stays valid and the cache is never emptied.
     """
-    return SievedPrimes(limit, primes_upto(limit), _store.residue_cache, _store.block_totals)
+    return SievedPrimes(limit, primes_upto(limit), _store.block_totals)
 
 
 def pi(x: int, sieve: SievedPrimes) -> int:
@@ -293,21 +254,28 @@ def _class_parts(kind: str, x: int, q: int, a: int, sieve: SievedPrimes) -> list
     store only appends, so the blocks below pi(x) never change.  So only
     the last, partial block, and the whole blocks no earlier query reached,
     are computed.  Threads that race on a missing block each compute it and
-    store equal parts.  Requires gcd(a, q) = 1; the arguments are checked,
-    and the residues made, before any block is read.
+    store equal parts.  Requires gcd(a, q) = 1 and q >= 1; the arguments are
+    checked before any block is read.
     """
     if gcd(a, q) != 1:
         raise ValueError(f"need gcd(a, q) = 1, got a={a}, q={q}")
     k = pi(x, sieve)
-    ps, res, r = sieve.primes, sieve.residues(q), a % q
+    if q < 1:
+        raise ValueError(f"modulus must be positive, got q={q}")
+    ps, r = sieve.primes, a % q
     totals = sieve.block_totals
     parts = []
     for i, lo in enumerate(range(0, k, _BLOCK)):
         whole = lo + _BLOCK <= k
         part = totals.get((kind, q, r, i)) if whole else None
         if part is None:
-            hi = min(lo + _BLOCK, k)
-            part = _block_part(kind, ps[lo:hi], res[lo:hi] == r)
+            block = res = ps[lo : min(lo + _BLOCK, k)]
+            # a q past the limit leaves every prime its own residue, and
+            # q - 1 may not fit the primes' dtype; & (q - 1) takes about half
+            # the time of %
+            if q <= sieve.limit:
+                res = block & (q - 1) if q & (q - 1) == 0 else block % q
+            part = _block_part(kind, block, res == r)
             if whole:
                 totals[kind, q, r, i] = part
         parts.append(part)

@@ -69,14 +69,17 @@ def alpha_two(m: int, n: int) -> int:
 
 
 def alpha_p(m: int, n: int, p: int) -> int:
-    """Exact ord_p of P(m, n) for an odd prime p.
+    """Exact ord_p of P(m, n) for an odd prime p, whose primality the caller vouches for.
 
     Zero unless p = 1 (mod 2^(n+1)); otherwise the sum over j of the root
     counts #{x <= m : p^j | x^(2^n)+1}, with j running while p^j stays at or
-    below m^(2^n)+1.
+    below m^(2^n)+1.  Only parity is checked here, as every caller passes
+    sieved or split primes and a primality test per call would repeat on
+    each of them: a composite p outside that class, or past m^(2^n)+1, gets
+    0, and one that reaches the root count raises NotSplittingError.
     """
     if p < 3 or p % 2 == 0:
-        raise ValueError(f"odd prime required, got {p}")
+        raise ValueError(f"odd p required, whose primality the caller vouches for, got {p}")
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     if (p - 1) % (1 << (n + 1)):

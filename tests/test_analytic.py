@@ -42,6 +42,30 @@ LADDER_LIMIT = 21_544_347
 MODULI = (3, 4, 5, 8, 12, 16, 100, 300)
 
 
+def run_cli_peak(argv: list[str]) -> tuple[bytes, int]:
+    """The stdout of fermatprod's CLI on argv, run in a fresh interpreter, and its VmHWM in KB.
+
+    The command must exit 0.
+    """
+    script = (
+        "import sys\n"
+        "from fermatprod.cli import main\n"
+        f"code = main({argv!r})\n"
+        "sys.stdout.flush()\n"
+        "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
+        "print(code, int(status.split()[0]), file=sys.stderr)\n"
+    )
+    src = str(Path(analytic.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, env=env, timeout=300, check=True
+    )
+    code, hwm_kb = map(int, done.stderr.split())
+    assert code == 0
+    return done.stdout, hwm_kb
+
+
 def assert_matches_oracle(cold, limit, oracle=None):
     """primes_upto(limit) equals the oracle: segmented_primes(limit), or a longer run of it.
 
@@ -83,26 +107,21 @@ class TestSieves:
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
     def test_sieve_to_the_cap_stays_small(self):
         # the store takes 4 bytes per prime, 203 MB for the 50.8 million primes up to 10^9
-        script = (
-            "import sys\n"
-            "from fermatprod.cli import main\n"
-            "code = main(['analytic', '--check', 'pi', '--limit', '1e9', '--json'])\n"
-            "sys.stdout.flush()\n"
-            "status = open('/proc/self/status').read().split('VmHWM:')[1]\n"
-            "print(code, int(status.split()[0]), file=sys.stderr)\n"
-        )
-        src = str(Path(analytic.__file__).parents[1])
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        env = {**os.environ, "PYTHONPATH": path}
-        done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, env=env, timeout=300, check=True
-        )
-        code, hwm_kb = map(int, done.stderr.split())
-        assert code == 0
+        out, hwm_kb = run_cli_peak(["analytic", "--check", "pi", "--limit", "1e9", "--json"])
         assert hwm_kb <= 300 * 1024, hwm_kb
         # byte for byte the report that the int64 store, copied on each growth, gave
         digest = "49b7e9de5503997fce8f65ec7a0de6173fa9d8097488d81cc1b68265e7c04aab"
-        assert hashlib.sha256(done.stdout).hexdigest() == digest
+        assert hashlib.sha256(out).hexdigest() == digest
+
+    @pytest.mark.long
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_class_sums_to_the_cap_stay_small(self):
+        # a byte per prime and modulus, 51 MB at 10^9, would push the peak past 260 MB
+        out, hwm_kb = run_cli_peak(["analytic", "--check", "theta", "--a", "3", "--limit", "1e9", "--json"])
+        assert hwm_kb <= 260 * 1024, hwm_kb
+        # byte for byte the report that the per-modulus residue arrays gave
+        digest = "266d0ebafbc6b4142f9f957102e1f50edb6966ccf96c606434206c209cdbd852"
+        assert hashlib.sha256(out).hexdigest() == digest
 
     def test_segment_size_does_not_matter(self):
         for seg in (64, 1000, 1 << 14):
@@ -165,7 +184,6 @@ class TestSieves:
     def test_queries_allocate_no_copy_of_the_store(self):
         # a copy of the 664,579 primes up to 10^7 widened to int64 would take 5.3 MB
         sieve = get_sieve(DEFAULT_SIEVE_LIMIT)
-        sieve.residues(8)
         x = sieve.limit
         for query in (pi, lambda x, sv: pi_ap(x, 8, 3, sv), lambda x, sv: primes_upto(x)):
             tracemalloc.start()
@@ -328,7 +346,7 @@ def sample_points(rng: random.Random, sieve: SievedPrimes, lo: int = 0) -> list[
 
 
 class TestAgainstReduction:
-    """The residue cache and exact_sum against the per-query reduction and math.fsum, bitwise."""
+    """The class sums and exact_sum against the per-query reduction and math.fsum, bitwise."""
 
     @pytest.mark.parametrize("limit", [LIMIT, LADDER_LIMIT])
     def test_progression_queries(self, limit):
@@ -374,46 +392,56 @@ class TestAgainstReduction:
             lhs = check_logsum_bound(a, x, sieve).detail["records"][0]["lhs"]
             assert lhs.hex() == logsum, (limit, x, a)
 
-    def test_residue_cache(self):
+    def test_direct_sieve_keeps_its_own_totals(self):
         sieve = SievedPrimes(LIMIT, primes_upto(LIMIT))
-        assert sieve.residue_cache is not analytic._store.residue_cache  # built directly: its own
-        assert sieve.block_totals is not analytic._store.block_totals  # and its own totals
+        assert sieve.block_totals is not analytic._store.block_totals
         stored = dict(analytic._store.block_totals)
         assert theta_ap(LIMIT, 8, 1, sieve) == theta_ap_by_fsum(LIMIT, 8, 1, sieve.primes)
         assert list(sieve.block_totals) == [("theta", 8, 1, 0)]  # the one whole block of 10^6
         assert analytic._store.block_totals == stored
-        dtypes = {1: np.uint8, 8: np.uint8, 256: np.uint8, 257: np.uint16, 300: np.uint16}
-        for q, dtype in dtypes.items():
-            res = sieve.residues(q)
-            assert res.dtype == dtype and not res.flags.writeable, q
-            assert np.array_equal(res, sieve.primes % q), q
-            again = sieve.residues(q)
-            assert len(again) == len(res) and np.shares_memory(again, res), q
-        assert sorted(sieve.residue_cache) == sorted(dtypes)
-        with pytest.raises(ValueError):
-            sieve.residues(0)
-        with pytest.raises(ValueError):
-            pi_ap(100, -8, 1, sieve)
 
-    def test_smaller_sieve_reads_a_prefix_of_the_larger_ones_residues(self, cold_sieve):
-        # limits no other test asks for, so get_sieve makes them from the cold store
-        small, middle, large = (get_sieve(limit) for limit in (1_000_033, 1_500_007, 2_000_003))
-        middle.residues(8)  # a shorter fill first, which the larger one extends
-        filled = large.residues(8)
-        assert analytic._store.residue_cache == {8: filled}
-        for sieve in (small, middle):
-            tracemalloc.start()
-            try:
-                res = sieve.residues(8)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            # a copy would take one byte per prime, 78,500 bytes and more
-            assert peak < 1 << 10, (sieve.limit, peak)
-            assert np.shares_memory(res, filled), sieve.limit
-            assert np.array_equal(res, sieve.primes % 8), sieve.limit
+    @pytest.mark.parametrize("q", [0, -8])
+    def test_bad_modulus_raises_before_any_block(self, monkeypatch, q):
+        sieve = SievedPrimes(LIMIT, SIEVE.primes)
+        calls = count_calls(monkeypatch, "_block_part")
+        for query in (pi_ap, theta_ap):
+            for x in (1, 100, LIMIT):  # no block, a partial one, and a whole one too
+                with pytest.raises(ValueError, match="modulus must be positive"):
+                    query(x, q, 1, sieve)
+        assert not calls and not sieve.block_totals
 
-    def test_concurrent_first_callers_share_residues(self, cold_sieve):
+    @pytest.mark.parametrize("q", [2**40, 3 * 2**40 + 2])
+    def test_modulus_past_the_limit(self, q):
+        # every prime is its own residue, and q - 1 does not fit uint32
+        sieve = get_sieve(LIMIT)
+        ps = sieve.primes.astype(np.int64)  # the oracles reduce the primes' own dtype
+        for a in (1, 3, 999_983, 999_979 - q, q - 1, 2**33 + 1, q + 5):
+            if math.gcd(a, q) != 1:
+                continue
+            for x in (2, 999_983, LIMIT):
+                assert pi_ap(x, q, a, sieve) == pi_ap_by_reduction(x, q, a, ps), (x, q, a)
+                assert theta_ap(x, q, a, sieve) == theta_ap_by_fsum(x, q, a, ps), (x, q, a)
+        assert pi_ap(LIMIT, q, 999_983, sieve) == 1
+
+    @pytest.mark.parametrize("query", [pi_ap, theta_ap])
+    def test_cold_query_allocates_only_block_temporaries(self, cold_sieve, query):
+        # a mask, a residue or a copy over the whole sieve would take a byte
+        # per prime or more, 5.76 MB for the primes up to 10^8
+        primes = primes_upto(10**8)
+        assert len(primes) >= 5 * 10**6
+        sieve = SievedPrimes(10**8, primes)  # its own empty totals: every block is computed
+        tracemalloc.start()
+        try:
+            got = query(sieve.limit, 8, 3, sieve)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 21, peak  # a few blocks' temporaries, a third of a byte per prime
+        assert len(sieve.block_totals) == len(primes) // analytic._BLOCK
+        again = SievedPrimes(10**8, primes)
+        assert query(sieve.limit, 8, 3, again) == got
+
+    def test_concurrent_first_callers_share_block_totals(self, cold_sieve):
         # limits no other test asks for, so the threads sieve them from the cold store
         limits = (3_000_017, 3_500_017)
         interval = sys.getswitchinterval()
@@ -425,7 +453,7 @@ class TestAgainstReduction:
             def query(limit, qs):
                 barrier.wait()
                 sieve = get_sieve(limit)
-                seen.extend((sieve, q, sieve.residues(q)) for q in qs)
+                seen.extend((sieve, q, pi_ap(limit, q, 1, sieve), theta_ap(limit, q, 1, sieve)) for q in qs)
 
             # two threads on each limit, one starting on each modulus
             jobs = [(limit, qs) for limit in limits for qs in ((8, 16), (16, 8))]
@@ -437,17 +465,20 @@ class TestAgainstReduction:
             assert not any(t.is_alive() for t in threads)
         finally:
             sys.setswitchinterval(interval)
-        cache = analytic._store.residue_cache
-        assert len(seen) == 8 and sorted(cache) == [8, 16]
-        for sieve, q, res in seen:
-            assert sieve.residue_cache is cache
-            assert np.array_equal(res, sieve.primes % q), (sieve.limit, q)
-            # every sieve now reads a prefix of the store's one array for q
-            assert len(cache[q]) == len(primes_upto(max(limits))) and not cache[q].flags.writeable
-            assert np.shares_memory(sieve.residues(q), cache[q]), (sieve.limit, q)
+        totals = analytic._store.block_totals
+        assert len(seen) == 8
+        for sieve, q, count, theta in seen:
+            assert sieve.block_totals is totals
+            ps = sieve.primes
+            assert count == pi_ap_by_reduction(sieve.limit, q, 1, ps), (sieve.limit, q)
+            assert theta == theta_ap_by_fsum(sieve.limit, q, 1, ps), (sieve.limit, q)
+        # the whole blocks of the longer sieve, each kept once per kind and modulus
+        whole = len(primes_upto(max(limits))) // analytic._BLOCK
+        keys = [(kind, q, 1, i) for kind in ("count", "theta") for q in (8, 16) for i in range(whole)]
+        assert sorted(totals) == sorted(keys)
 
-    def test_concurrent_queries_share_one_residue_array(self):
-        # a long and a short sieve on one private cache, raced on two moduli
+    def test_concurrent_queries_share_private_block_totals(self):
+        # a long and a short sieve on one private dict of totals, raced on two moduli
         short = LIMIT // 2
         ps = SIEVE.primes
         want = {
@@ -459,14 +490,15 @@ class TestAgainstReduction:
         sys.setswitchinterval(1e-6)
         try:
             for first, second in ((8, 16), (16, 8)):
-                cache = {}
+                totals = {}
                 sieves = [
-                    SievedPrimes(LIMIT, ps, cache),
-                    SievedPrimes(short, ps[: pi(short, SIEVE)], cache),
+                    SievedPrimes(LIMIT, ps, totals),
+                    SievedPrimes(short, ps[: pi(short, SIEVE)], totals),
                 ]
                 cached = get_sieve(LIMIT)
+                stored = dict(analytic._store.block_totals)
                 barrier = threading.Barrier(4)
-                got, seen, handed = [], [], []
+                got, handed = [], []
 
                 def query(sieve, qs):
                     barrier.wait()
@@ -474,7 +506,6 @@ class TestAgainstReduction:
                     for q in qs:
                         values = [(pi_ap(x, q, a, sieve), theta_ap(x, q, a, sieve)) for a in (1, 3, 5, 7)]
                         got.append(((x, q), values))
-                        seen.append((sieve, q, sieve.residues(q)))
                         handed.append(get_sieve(LIMIT))
 
                 # two threads start on each modulus, one on each sieve
@@ -486,13 +517,16 @@ class TestAgainstReduction:
                     t.join(timeout=120)
                 assert not any(t.is_alive() for t in threads)
                 assert len(got) == 8 and all(values == want[key] for key, values in got)
-                assert sorted(cache) == [8, 16]
-                for sieve, q, res in seen:
-                    assert len(cache[q]) == len(ps) and not res.flags.writeable
-                    assert np.array_equal(res, sieve.primes % q)
-                    assert np.shares_memory(sieve.residues(q), cache[q])
+                # the parts the threads stored are the ones one sieve computes alone
+                alone = SievedPrimes(LIMIT, ps)
+                for q in (8, 16):
+                    for a in (1, 3, 5, 7):
+                        pi_ap(LIMIT - 1, q, a, alone)
+                        theta_ap(LIMIT - 1, q, a, alone)
+                assert totals == alone.block_totals
                 assert all(sv is cached for sv in handed)
-                assert cached.residue_cache is analytic._store.residue_cache
+                assert cached.block_totals is analytic._store.block_totals
+                assert analytic._store.block_totals == stored  # the store's own were not touched
                 assert not cached.primes.flags.writeable
         finally:
             sys.setswitchinterval(interval)

@@ -14,7 +14,7 @@ from fermatprod import prodorders
 from fermatprod.ntcore import RootSet, is_prime, is_probable_prime, lifted_roots, roots_of_minus_one
 
 from fermatprod.analytic import primes_upto
-from fermatprod.errors import InfeasibleSizeError, InternalRefusalError
+from fermatprod.errors import InfeasibleSizeError, InternalRefusalError, NotSplittingError
 from fermatprod.prodorders import (
     _anchor_cap,
     _factor_residuals,
@@ -67,6 +67,13 @@ class TestAlphaBeta:
         # the fifth solution 1303 = 6 + 1297 lies just past 1302
         assert alpha_p(1302, 2, 1297) == 4
         assert alpha_p(1303, 2, 1297) == 5
+
+    def test_composite_in_the_split_class_raises(self):
+        # 325 = 5^2 * 13 = 1 mod 4, and 100^2 + 1 >= 325, so the root count runs
+        with pytest.raises(NotSplittingError):
+            alpha_p(100, 1, 325)
+        # the caller vouches for primality: outside the class, or past m^2 + 1, a composite gets 0
+        assert alpha_p(2, 1, 9) == alpha_p(17, 1, 325) == 0
 
     def test_alpha_p_oracle_small(self):
         for n in (1, 2):
