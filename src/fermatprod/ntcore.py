@@ -1,12 +1,17 @@
 """Modular arithmetic kernels: primality, the 2^n-th roots of -1 mod p and mod p^j.
 
-Every primality test of the package lives here: is_prime below 2^64, and
-is_probable_prime (Baillie-PSW above 2^64) for cofactors and root moduli.
+Every primality test of the package lives here: is_prime below 2^64,
+is_prime_batch for a whole int64 array of values below WORD_LIMIT = 2^55 at
+once, and is_probable_prime (Baillie-PSW above 2^64) for cofactors and root
+moduli.  is_prime and is_prime_batch run the same trial division and the
+same Miller-Rabin witness sets, so they give the same verdicts.
 
-Everything operates on plain Python integers, so results stay exact at any
-size; CPython's native pow() provides the fast path below machine word sizes
-and switches to arbitrary precision transparently.  All functions are pure
-and safe for concurrent use.
+The scalar functions operate on plain Python integers, so results stay
+exact at any size; CPython's native pow() provides the fast path below
+machine word sizes and switches to arbitrary precision transparently.  The
+array kernel _mulmod multiplies int64 lanes modulo v < 2^55 exactly; the
+batched primality test and prodorders' lockstep Pollard-Brent walks both run
+on it.  All functions are pure and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+
+import numpy as np
 
 from .errors import InternalRefusalError, NotSplittingError
 
@@ -29,6 +36,8 @@ _MR_SMALL_LIMIT = 4_759_123_141
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 PRIMALITY_LIMIT = 1 << 64
+# _mulmod, and so everything built on it, is exact for moduli below this
+WORD_LIMIT = 1 << 55
 
 # Entries kept by each root cache.  One pass of the orders benchmark fills
 # 4,747 and 9,596 entries, so the bound costs it no hits, and a long-lived
@@ -87,6 +96,72 @@ def is_prime(v: int) -> bool:
         if v % p == 0:
             return v == p
     return _strong_probable_prime(v, _MR_BASES_SMALL if v < _MR_SMALL_LIMIT else _MR_BASES_64)
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, v: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """a*b mod v lane by lane (int64), given inv = 1.0/v; exact for v < 2^55 and |a|, |b| < v + 2^20.
+
+    The float quotient a*inv*b, truncated, is within 22 of floor(a*b/v), so
+    the exact a*b - q*v lies within 23v < 2^60 of zero, and wrapping int64
+    arithmetic, exact mod 2^64, yields it exactly.  The float only estimates;
+    the final % v decides.
+    """
+    return (a * b - (a * inv * b).astype(np.int64) * v) % v
+
+
+def _strong_probable_primes(v: np.ndarray, a) -> np.ndarray:
+    """_strong_probable_prime(v, (a,)) lane by lane, for odd int64 v with 2 < v < WORD_LIMIT.
+
+    a is one base for every lane or an int64 array of one base per lane.
+    """
+    inv = 1.0 / v
+    minus_one = v - 1
+    low = minus_one & -minus_one
+    s = np.frexp(low)[1] - 1  # v - 1 = d * 2^s, d odd; exact, as low is a power of two
+    d = minus_one // low
+    base = a % v
+    x = np.ones_like(v)
+    for bit in range(int(d.max(initial=0)).bit_length()):
+        x = np.where((d >> bit) & 1 != 0, _mulmod(x, base, v, inv), x)
+        base = _mulmod(base, base, v, inv)
+    passed = (a % v == 0) | (x == 1) | (x == minus_one)
+    for r in range(1, int(s.max(initial=0))):
+        x = _mulmod(x, x, v, inv)
+        passed |= (x == minus_one) & (r < s)
+    return passed
+
+
+def is_prime_batch(vs) -> np.ndarray:
+    """is_prime of every value of an integer array below WORD_LIMIT = 2^55, as one bool array.
+
+    The same test as is_prime, run on all values at once: trial division by
+    the primes up to 47, then strong probable-prime rounds on int64 lanes
+    through _mulmod.  Base 2, first in both witness sets, runs on every lane
+    left.  The rest of each survivor's set, Jaeschke's 7 and 61 below
+    4,759,123,141 and Sinclair's other six from there up, then run as one
+    batch of (lane, base) rounds, as most survivors of base 2 are prime and
+    pass every round anyway.  Values of WORD_LIMIT and more are refused with
+    InternalRefusalError, where _mulmod would no longer be exact.
+    """
+    v = np.asarray(vs)
+    if v.size and v.max() >= WORD_LIMIT:
+        raise InternalRefusalError(f"is_prime_batch is exact only below 2^55, got {v.max()}")
+    v = v.astype(np.int64)
+    prime = np.zeros(v.shape, dtype=bool)
+    todo = v >= 2
+    for p in _SMALL_PRIMES:
+        hit = todo & (v % p == 0)
+        prime |= hit & (v == p)
+        todo &= ~hit
+    lanes = np.flatnonzero(todo)
+    lanes = lanes[_strong_probable_primes(v[lanes], _MR_BASES_SMALL[0])]
+    small = v[lanes] < _MR_SMALL_LIMIT
+    groups = ((lanes[small], _MR_BASES_SMALL[1:]), (lanes[~small], _MR_BASES_64[1:]))
+    lane_of = np.concatenate([np.repeat(group, len(bases)) for group, bases in groups])
+    base = np.concatenate([np.tile(np.array(bases), len(group)) for group, bases in groups])
+    prime[lanes] = True
+    prime[lane_of[~_strong_probable_primes(v[lane_of], base)]] = False
+    return prime
 
 
 def _jacobi(a: int, n: int) -> int:

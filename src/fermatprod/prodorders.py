@@ -4,28 +4,35 @@ alpha_p comes from root counting in residue classes (never from scanning
 values).  Valuation tables read one incremental factorization engine per
 level n, which holds the prime factorization of x^(2^n)+1 for every
 x <= m_done.  A query past m_done factors only the new x, on one
-strip-and-split path: 2 and every split prime p <= B are divided out
-through their root classes mod p, B = max(m, min(isqrt(m^(2^n)+1), 1024 m,
-2^20)), and the residual is split.
+strip-and-split path over numpy arrays.  The new values, halved at odd x,
+are one array: int64 while m^(2^n)+1 < 2^63, Python ints (dtype object)
+past that.  2 and every split prime p <= B = max(m, min(isqrt(m^(2^n)+1),
+2^20)) are divided out through the root classes of p: each class member is
+checked to be divisible by p, all members are divided at once by
+np.floor_divide.at, and higher powers of p go in further rounds.  B depends
+on m alone, so the order of the queries does not change how far a value is
+stripped.
 Each residual prime is certified in one of three ways: by size, when it
-lies below (B+1)^2 (it has no prime factor <= B); otherwise by
-ntcore.is_probable_prime, deterministic Miller-Rabin below 2^64 and
-Baillie-PSW above.  The composite residuals of an extension are split
-together, round by round.  Below 2^55, a batch of at least 32 runs as
-lockstep int64 Brent walks, one per numpy lane; each modular product takes
-its quotient from a floating-point estimate and its remainder from wrapping
-int64 arithmetic, exact below 2^55.  The float decides no factor: every
-divisor is a gcd with v, checked by exact division on Python integers, so
-an estimate can cost time but never yield a wrong factor.  Larger
-residuals, smaller batches and composites the batch leaves open go to
-Pollard-Brent rho on Python integers.  A query at or below m_done
-aggregates the stored prefix.  Every query checks its exponent sum for
-each split p <= m against alpha_p; sizes past TABLE_CAP or VALUE_BITS_CAP
-are refused before any factoring.  A chain link is a plain dict from one
-search routine: an anchored prime p = a^(2^n)+1 whose next roots each pass
-a single mod-p^2 check of order exactly 1, so that ord_p(P(m, n)) <= 2^n
-across a verified interval of m; verify_chain joins links greedily up to
-the theorem's max(10^12, 4^(n+1)).
+lies below (B+1)^2 (it has no prime factor <= B); by deterministic
+Miller-Rabin below 2^64, the odd residuals below 2^55 of an extension in one
+batch (ntcore.is_prime_batch) when there are at least 32 of them and one at
+a time (ntcore.is_prime) otherwise; or by Baillie-PSW above 2^64
+(ntcore.is_probable_prime).  The composite residuals of an extension are
+split together, round by round.  Below 2^55, a batch of at least 32 runs as
+lockstep int64 Brent walks, one per numpy lane, on ntcore's _mulmod kernel:
+each modular product takes its quotient from a floating-point estimate and
+its remainder from wrapping int64 arithmetic, exact below 2^55.  The float
+decides no factor: every divisor is a gcd with v, checked by exact division
+on Python integers, so an estimate can cost time but never yield a wrong
+factor.  Larger residuals, smaller batches and composites the batch leaves
+open go to Pollard-Brent rho on Python integers.  A query at or below
+m_done aggregates the stored prefix.  Every query checks its exponent sum
+for each split p <= m against alpha_p; sizes past TABLE_CAP or
+VALUE_BITS_CAP are refused before any factoring.  A chain link is a plain
+dict from one search routine: an anchored prime p = a^(2^n)+1 whose next
+roots each pass a single mod-p^2 check of order exactly 1, so that
+ord_p(P(m, n)) <= 2^n across a verified interval of m; verify_chain joins
+links greedily up to the theorem's max(10^12, 4^(n+1)).
 """
 
 from __future__ import annotations
@@ -43,8 +50,11 @@ from .check import Check
 from .errors import InfeasibleSizeError, InternalRefusalError
 from .ntcore import (
     PRIMALITY_LIMIT,
+    WORD_LIMIT,
+    _mulmod,
     count_roots_upto,
     is_prime,
+    is_prime_batch,
     is_probable_prime,
     odd_powers,
     roots_of_minus_one,
@@ -154,30 +164,24 @@ def _rho_brent(v: int, k: int) -> int:
 # _GCD_BLOCK steps.  A block costs the same for any batch (about 4 ms at
 # k = 8), so a batch pays off only from _MIN_BATCH composites on: at 32 it
 # ties with _rho_brent per composite, at 128 it takes 0.9 ms against 1.5 ms.
-# Residuals of at least _WORD_LIMIT, smaller batches, and any composite the
+# Residuals of at least WORD_LIMIT, smaller batches, and any composite the
 # batch leaves open after _STEP_BUDGET steps or _COLLAPSE_LIMIT collapsed
 # walks go to _rho_brent.
 _LANES = 512
 _MIN_BATCH = 32
 _GCD_BLOCK = 64
-_WORD_LIMIT = 1 << 55
 _STEP_BUDGET = 1 << 15
 _COLLAPSE_LIMIT = 8
-
-
-def _mulmod(a: np.ndarray, b: np.ndarray, v: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """a*b mod v lane by lane (int64), given inv = 1.0/v; exact for v < 2^55 and |a|, |b| < v + 2^20.
-
-    The float quotient a*inv*b, truncated, is within 22 of floor(a*b/v), so
-    the exact a*b - q*v lies within 23v < 2^60 of zero, and wrapping int64
-    arithmetic, exact mod 2^64, yields it exactly.  The float only estimates;
-    the final % v decides.
-    """
-    return (a * b - (a * inv * b).astype(np.int64) * v) % v
+# Word-size residuals are proved prime by one ntcore.is_prime_batch call
+# when there are at least _MIN_PRIME_BATCH of them.  A batch costs about
+# 1.5 ms whatever its size, where is_prime takes about 55 us per residual
+# of an n = 2 extension (80% of them prime): at 32 residuals the two tie,
+# at 128 the batch takes 2.8 ms against 7.1 ms.
+_MIN_PRIME_BATCH = 32
 
 
 def _walk_lanes(vs: list[int], k: int) -> list[int]:
-    """A divisor 1 < d < v of each odd composite v < _WORD_LIMIT in vs, or 0 where none was found.
+    """A divisor 1 < d < v of each odd composite v < WORD_LIMIT in vs, or 0 where none was found.
 
     Each lane runs Brent's cycle search on y -> y^k + c (k a power of two,
     applied as repeated squaring), accumulating q = q*(x - y) mod v, with x
@@ -252,12 +256,12 @@ def _walk_lanes(vs: list[int], k: int) -> list[int]:
 def _split_composites(vs: list[int], k: int) -> list[int]:
     """A proper divisor of each composite in vs, every one checked by exact division.
 
-    The odd composites below _WORD_LIMIT, when there are at least
+    The odd composites below WORD_LIMIT, when there are at least
     _MIN_BATCH of them, are split together by _walk_lanes; the rest, and
     those it leaves open, by _rho_brent(., k).  A divisor that is not in
     (1, v) or leaves a remainder raises ArithmeticError.
     """
-    word = [i for i, v in enumerate(vs) if v < _WORD_LIMIT and v & 1]
+    word = [i for i, v in enumerate(vs) if v < WORD_LIMIT and v & 1]
     ds = [0] * len(vs)
     if len(word) >= _MIN_BATCH:
         for i, d in zip(word, _walk_lanes([vs[i] for i in word], k)):
@@ -270,36 +274,58 @@ def _split_composites(vs: list[int], k: int) -> list[int]:
     return ds
 
 
-def _factor_residuals(vs: list[int], k: int, proven: int) -> list[tuple[int, int]]:
-    """(i, p) for every prime p of vs[i], once per power of p dividing it.
+def _prime_mask(vs: np.ndarray) -> np.ndarray:
+    """Primality of each value of vs, every one at least 2, as a bool array.
 
-    Parts below `proven` are recorded as prime with no test: the caller
-    vouches that every divisor of a residual in (1, proven) is prime, as 4
-    does for any v.  Larger parts go through is_probable_prime, squares are
-    split by isqrt, and each round's remaining composites are split together
-    by _split_composites(., k), whose parts make the next round.
+    The odd values below WORD_LIMIT, when there are at least
+    _MIN_PRIME_BATCH of them, go to one ntcore.is_prime_batch call; the
+    rest to is_probable_prime one at a time.
     """
-    primes: list[tuple[int, int]] = []
-    todo = list(enumerate(vs))
-    while todo:
-        nxt, composite = [], []
-        for i, v in todo:
-            if v < proven:
-                if v > 1:
-                    primes.append((i, v))
-            elif is_probable_prime(v):
-                primes.append((i, v))
+    prime = np.zeros(len(vs), dtype=bool)
+    word = (vs < WORD_LIMIT) & (vs % 2 == 1)
+    if np.count_nonzero(word) >= _MIN_PRIME_BATCH:
+        prime[word] = is_prime_batch(vs[word].astype(np.int64))
+    else:
+        word[:] = False
+    rest = np.flatnonzero(~word)
+    prime[rest] = [is_probable_prime(v) for v in vs[rest].tolist()]
+    return prime
+
+
+def _factor_residuals(vs: np.ndarray, k: int, proven: int) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (i, p) with one entry for every prime p of vs[i] and every power of p dividing it.
+
+    vs holds int64 or Python ints (dtype object), and the primes come back
+    as int64 or dtype object too.  Parts below `proven` are recorded as prime with
+    no test: the caller vouches that every divisor of a residual in
+    (1, proven) is prime, as 4 does for any v.  Larger parts go through
+    _prime_mask, squares are split by isqrt, and each round's remaining
+    composites are split together by _split_composites(., k), whose parts
+    make the next round.
+    """
+    index = np.arange(len(vs))
+    found_i, found_p = [index[:0]], [index[:0]]
+    while len(vs):
+        big = vs >= proven
+        prime = ~big & (vs > 1)
+        prime[big] = _prime_mask(vs[big])
+        found_i.append(index[prime])
+        found_p.append(vs[prime])
+        rest = big & ~prime
+        parts, composite = [], []
+        for i, v in zip(index[rest].tolist(), vs[rest].tolist()):
+            r = isqrt(v)
+            if r * r == v:
+                parts += ((i, r), (i, r))
             else:
-                r = isqrt(v)
-                if r * r == v:
-                    nxt += ((i, r), (i, r))
-                else:
-                    composite.append((i, v))
+                composite.append((i, v))
         if composite:
             for (i, v), d in zip(composite, _split_composites([v for _, v in composite], k)):
-                nxt += ((i, d), (i, v // d))
-        todo = nxt
-    return primes
+                parts += ((i, d), (i, v // d))
+        index = np.array([i for i, _ in parts], dtype=np.int64)
+        vals = [v for _, v in parts]
+        vs = np.array(vals, dtype=object if max(vals, default=0) >= _INT64_LIMIT else np.int64)
+    return np.concatenate(found_i), np.concatenate(found_p)
 
 
 @dataclass(frozen=True, eq=True)
@@ -354,17 +380,19 @@ def _split_roots(n: int, primes: np.ndarray) -> np.ndarray:
     2^(n+1)-th root of unity, so its 2^n odd powers are distinct and are all
     the roots.  The search for g stops with ArithmeticError past
     ntcore._least_nonresidue's bound isqrt(p) + 1 for the largest p.  Every
-    entry is checked to satisfy r^(2^n) = -1 (mod p).
+    entry is checked to satisfy r^(2^n) = -1 (mod p), and the entries of a
+    row to be distinct, so that the strip meets each x once per prime.
     """
     col = primes[:, None]
     z = np.zeros_like(primes)
     todo = np.arange(len(primes))
     expo = (primes - 1) >> (n + 1)
     bound = isqrt(int(primes.max(initial=0))) + 1
-    g = 2
-    while todo.size:
-        if g > bound:
-            raise ArithmeticError(f"{todo.size} split primes have no non-residue up to {bound}")
+    # the least non-residue is prime, as a product of residues is a residue,
+    # and 2 is a residue mod every p = 1 (mod 8)
+    for g in (g for g in primes_upto(bound).tolist() if n == 1 or g > 2):
+        if not todo.size:
+            break
         p = primes[todo]
         c = _powmod_array(np.full_like(p, g), expo[todo], p)
         t = c
@@ -373,12 +401,13 @@ def _split_roots(n: int, primes: np.ndarray) -> np.ndarray:
         hit = t == p - 1  # c^(2^n) = g^((p-1)/2) = -1: g is a non-residue
         z[todo[hit]] = c[hit]
         todo = todo[~hit]
-        g += 1
+    if todo.size:
+        raise ArithmeticError(f"{todo.size} split primes have no non-residue up to {bound}")
     roots = np.stack(odd_powers(z, n, primes), axis=1)
     check = roots
     for _ in range(n):
         check = check * check % col
-    if not (check == col - 1).all():
+    if not (check == col - 1).all() or not np.diff(np.sort(roots, axis=1), axis=1).all():
         raise ArithmeticError(f"root table for n={n} failed verification")
     return roots
 
@@ -387,7 +416,7 @@ def _root_table(n: int, limit: int) -> _RootTable:
     """The level-n root table, covering at least every split prime <= limit.
 
     One table is kept per n and grown by doubling up to ROOT_TABLE_CAP,
-    where the three levels 1..3 take about 1.2 MB together.  A published
+    where the three levels 1..3 take about 1.3 MB together.  A published
     table is never mutated: growth builds a new one from the old rows plus
     the rows of the new primes.
     """
@@ -455,21 +484,24 @@ def reset_engines() -> None:
 def _strip_and_split(n: int, lo: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Factor x^(2^n)+1 for lo <= x <= m: (primes ordered by x, count per x).
 
-    Every odd prime factor of x^(2^n)+1 is 1 mod 2^(n+1).  Once 2 and every
-    such prime p <= B (met through its root classes mod p, each division
-    exact) are divided out, a residual has no prime factor <= B, so one
-    below (B+1)^2 is prime with no test.  Larger residuals are tested by
-    is_probable_prime, and all composites of a round are split together by
-    _split_composites on y -> y^(2^(n+1)) + c (see _factor_residuals).
-    Every residual prime must exceed B and be 1 mod 2^(n+1); anything else
-    raises ArithmeticError.
+    The values, halved at odd x, are held in one array: int64 while
+    m^(2^n)+1 < 2^63, dtype object past that.  Every odd prime factor of
+    x^(2^n)+1 is 1 mod 2^(n+1).  Each split prime p <= B meets the x of its
+    root classes mod p: every such value is checked to be divisible by p
+    (ArithmeticError if not) and divided by it with np.floor_divide.at, and
+    further powers of p are divided out in repeated rounds over the hits
+    that p still divides.  A residual then has no prime factor <= B, so one
+    below (B+1)^2 is prime with no test; _factor_residuals proves or splits
+    the larger ones, all of them together.  Every residual prime must exceed
+    B and be 1 mod 2^(n+1); anything else raises ArithmeticError.
     """
     e = 1 << n
     step = e << 1
     # B >= m brings every prime that alpha_p values into the strip; B at
-    # isqrt(m^(2^n)+1) would leave only prime residuals, and the caps keep
-    # the root table and the strip small.
-    bound = max(m, min(isqrt(m**e + 1), 1024 * m, ROOT_TABLE_CAP))
+    # isqrt(m^(2^n)+1) would leave only prime residuals, and the cap keeps
+    # the root table small.  B depends on m alone, so each extension is
+    # stripped as far as a query for its m would strip it.
+    bound = max(m, min(isqrt(m**e + 1), ROOT_TABLE_CAP))
     proven = (bound + 1) ** 2
     table = _root_table(n, bound)
     rows = int(np.searchsorted(table.primes, bound, side="right"))
@@ -478,36 +510,35 @@ def _strip_and_split(n: int, lo: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     first = roots + (lo - roots + primes - 1) // primes * primes  # least x >= lo per class
     live = first <= m
     first, primes = first[live], primes[live]
-    vals = [(x**e + 1) >> (x & 1) for x in range(lo, m + 1)]
-    # the root classes give one power of p at each x they meet; the further
-    # powers and the residual primes go here
-    more_x: list[int] = []
-    more_p: list[int] = []
-    for r, p in zip(first.tolist(), primes.tolist()):
-        for x in range(r, m + 1, p):
-            v = vals[x - lo]
-            if v % p:
-                raise ArithmeticError(f"{p} does not divide {x}^(2^{n})+1")
-            v //= p
-            while v % p == 0:
-                v //= p
-                more_x.append(x)
-                more_p.append(p)
-            vals[x - lo] = v
-    for i, q in _factor_residuals(vals, step, proven):
-        if q <= bound or (q - 1) % step:
-            raise ArithmeticError(f"cofactor splitter produced inadmissible prime {q}")
-        more_x.append(lo + i)
-        more_p.append(q)
-    twos = np.arange(lo | 1, m + 1, 2)
     hits = (m - first) // primes + 1  # members of each root class in [lo, m]
     rank = np.arange(int(hits.sum())) - np.repeat(np.cumsum(hits) - hits, hits)
-    class_x = np.repeat(first, hits) + np.repeat(primes, hits) * rank
-    dtype = object if max(more_p, default=0) >= _INT64_LIMIT else np.int64
-    xs = np.concatenate((twos, class_x, np.array(more_x, dtype=np.int64)))
-    ps = np.concatenate(
-        (np.full(len(twos), 2, dtype), np.repeat(primes, hits), np.array(more_p, dtype))
-    )
+    class_p = np.repeat(primes, hits)
+    class_x = np.repeat(first, hits) + class_p * rank
+    xs = np.arange(lo, m + 1, dtype=np.int64)
+    vals = (xs if m**e + 1 < _INT64_LIMIT else xs.astype(object)) ** e + 1
+    vals >>= xs & 1
+    at, ps = class_x - lo, class_p
+    bad = np.flatnonzero(vals[at] % ps)
+    if bad.size:
+        x, p = int(class_x[bad[0]]), int(ps[bad[0]])
+        raise ArithmeticError(f"{p} does not divide {x}^(2^{n})+1")
+    # the root classes give one power of p at each x they meet; each round
+    # divides out one more power where p still divides
+    more_x, more_p = [], []
+    while at.size:
+        np.floor_divide.at(vals, at, ps)
+        again = vals[at] % ps == 0
+        at, ps = at[again], ps[again]
+        more_x.append(at + lo)
+        more_p.append(ps)
+    res_i, res_p = _factor_residuals(vals, step, proven)
+    bad = np.flatnonzero((res_p <= bound) | ((res_p - 1) % step != 0))
+    if bad.size:
+        raise ArithmeticError(f"cofactor splitter produced inadmissible prime {res_p[bad[0]]}")
+    twos = np.arange(lo | 1, m + 1, 2)
+    dtype = object if res_p.size and res_p.max() >= _INT64_LIMIT else np.int64
+    xs = np.concatenate((twos, class_x, *more_x, res_i + lo))
+    ps = np.concatenate((np.full(len(twos), 2), class_p, *more_p, res_p)).astype(dtype)
     return ps[np.argsort(xs, kind="stable")], np.bincount(xs - lo, minlength=m - lo + 1)
 
 
@@ -542,8 +573,8 @@ def build_valuation_table(m: int, n: int) -> ValuationTable:
     """Complete exact valuation table of P(m, n), ascending in p, for m up to 100000.
 
     Read from the level-n engine: residual primes are certified by the size
-    bound below (B+1)^2, by deterministic 64-bit Miller-Rabin, or by BPSW
-    above 2^64.  For every split prime p <= m the count must equal alpha_p
+    bound below (B+1)^2, by deterministic Miller-Rabin below 2^64 (batched
+    over an extension's word-size residuals), or by BPSW above 2^64.  For every split prime p <= m the count must equal alpha_p
     from root counting; a disagreement raises ArithmeticError.  Sizes with
     (m-1).bit_length() * 2^n > VALUE_BITS_CAP are refused: past it a residual
     can be too large to split, such as 2^(2^16)+1 at m = 2, n = 16.

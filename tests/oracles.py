@@ -1,6 +1,7 @@
 """Brute-force oracles the package no longer runs, kept to check its closed forms."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -227,6 +228,14 @@ def single_entry_by_scan(n: int, x_limit: int) -> CongruenceSystem | None:
             if v % p**total == 0 and p > 2 * (x + 1):
                 return CongruenceSystem.make(n, p, ((x, total),))
     return None
+
+
+def factorizations_by_sympy(n: int, lo: int, m: int) -> list[Counter]:
+    """The prime factorization of x^(2^n)+1 for each x in [lo, m], by sympy.factorint."""
+    from sympy import factorint
+
+    e = 1 << n
+    return [Counter(factorint(x**e + 1)) for x in range(lo, m + 1)]
 
 
 def product_value(m: int, n: int) -> int:

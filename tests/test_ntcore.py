@@ -4,6 +4,7 @@ import functools
 import random
 import time
 
+import numpy as np
 import pytest
 
 from fermatprod import ntcore
@@ -15,9 +16,11 @@ from fermatprod.errors import (
 from fermatprod.ntcore import (
     PRIMALITY_LIMIT,
     ROOT_CACHE_SIZE,
+    WORD_LIMIT,
     _least_nonresidue,
     count_roots_upto,
     is_prime,
+    is_prime_batch,
     lifted_roots,
     roots_of_minus_one,
 )
@@ -100,6 +103,62 @@ class TestIsPrime:
         assert is_prime(6**4 + 1)
         assert is_prime(1302**4 + 1)
         assert not is_prime(8**4 + 1)  # 4097 = 17 * 241
+
+
+class TestIsPrimeBatch:
+    """is_prime_batch against the scalar is_prime and sympy.isprime."""
+
+    @staticmethod
+    def agrees(values):
+        sympy = pytest.importorskip("sympy")
+        got = is_prime_batch(np.array(values, dtype=np.int64))
+        assert got.dtype == bool
+        assert got.tolist() == [is_prime(v) for v in values]
+        assert got.tolist() == [sympy.isprime(v) for v in values]
+
+    def test_random_odd_values_and_primes(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random("is-prime-batch")
+        odd = [rng.randrange(3, WORD_LIMIT) | 1 for _ in range(3000)]
+        # mostly composite above, so add primes of every size for the full rounds
+        primes = [sympy.prevprime(rng.randrange(1 << 20, WORD_LIMIT)) for _ in range(300)]
+        primes += [sympy.prevprime(rng.randrange(48, 1 << 32)) for _ in range(100)]
+        self.agrees(odd + primes + list(range(300)))
+
+    def test_strong_pseudoprimes(self):
+        # each is a strong pseudoprime to base 2 (and to 3, 5, 7 and more),
+        # so only the later bases of its witness set expose it
+        traps = [3215031751, 2152302898747, 3474749660383, 341550071728321]
+        for v in traps:
+            assert ntcore._strong_probable_prime(v, (2,)), v
+        self.agrees(traps)
+
+    def test_boundaries(self):
+        # 4,759,123,141 is where the witness set switches; 2^55 - 1 is the largest input
+        switch = ntcore._MR_SMALL_LIMIT
+        self.agrees([switch - 2, switch, switch + 2, WORD_LIMIT - 1])
+        self.agrees(list(range(switch - 2001, switch + 2001, 2)))
+
+    def test_prime_squares_and_carmichael_numbers(self):
+        sympy = pytest.importorskip("sympy")
+        squares = [p * p for p in sympy.primerange((1 << 27) - 3000, (1 << 27) + 3000)]
+        # Chernick: (6k+1)(12k+1)(18k+1) is a Carmichael number when all three factors are prime
+        chernick = [
+            (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+            for k in range(1, 30_000)
+            if all(is_prime(f * k + 1) for f in (6, 12, 18))
+        ]
+        assert len(chernick) > 100 and max(chernick) < WORD_LIMIT
+        self.agrees(squares + chernick + [561, 1105, 1729, 41041, 825265])
+
+    def test_empty_batch(self):
+        got = is_prime_batch(np.zeros(0, dtype=np.int64))
+        assert got.shape == (0,) and got.dtype == bool
+
+    @pytest.mark.parametrize("v", [WORD_LIMIT, WORD_LIMIT + 1, PRIMALITY_LIMIT - 59])
+    def test_refuses_word_limit_and_above(self, v):
+        with pytest.raises(InternalRefusalError, match="2\\^55"):
+            is_prime_batch(np.array([3, v], dtype=np.uint64))
 
 
 class TestRootsOfMinusOne:

@@ -10,8 +10,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fermatprod import prodorders
-from fermatprod.ntcore import RootSet, is_prime, is_probable_prime, lifted_roots, roots_of_minus_one
+from fermatprod import ntcore, prodorders
+from fermatprod.ntcore import (
+    WORD_LIMIT,
+    RootSet,
+    is_prime,
+    is_probable_prime,
+    lifted_roots,
+    roots_of_minus_one,
+)
 
 from fermatprod.analytic import primes_upto
 from fermatprod.errors import InfeasibleSizeError, InternalRefusalError, NotSplittingError
@@ -28,7 +35,7 @@ from fermatprod.prodorders import (
     is_qth_power_obstructed,
     verify_chain,
 )
-from oracles import product_value, validate_chain_link
+from oracles import factorizations_by_sympy, product_value, validate_chain_link
 
 
 def ord_in(p, v):
@@ -247,6 +254,7 @@ class TestStripAndSplit:
             raise AssertionError("primality test or rho called")
 
         monkeypatch.setattr(prodorders, "is_probable_prime", refuse)
+        monkeypatch.setattr(prodorders, "is_prime_batch", refuse)
         monkeypatch.setattr(prodorders, "_rho_brent", refuse)
         monkeypatch.setattr(prodorders, "_split_composites", refuse)
         assert build_valuation_table(m, n) == want
@@ -280,6 +288,39 @@ class TestStripAndSplit:
         monkeypatch.setattr(prodorders, "_root_table", lambda n, limit: short)
         with pytest.raises(ArithmeticError, match="inadmissible prime 41"):
             build_valuation_table(30, 2)  # 3^4+1 = 2 * 41 and B = 900
+
+    def test_duplicate_roots_fail_verification(self, monkeypatch):
+        # every entry below is a root, but a row repeating one would make the
+        # strip divide some x^(2^n)+1 by p twice
+        monkeypatch.setattr(prodorders, "odd_powers", lambda z, n, mod: [z] * (1 << n))
+        with pytest.raises(ArithmeticError, match="failed verification"):
+            prodorders._split_roots(2, np.array([17, 41, 73], dtype=np.int64))
+
+    def test_tampered_root_entry_raises(self, monkeypatch, cold_engines):
+        # p = 17 has the roots 2, 8, 9 and 15 of x^4 = -1; 3^4 + 1 = 2 * 41
+        real = prodorders._root_table(2, 1 << 12)
+        assert real.primes[0] == 17
+        roots = real.roots.copy()
+        roots[0, 0] = 3
+        tampered = prodorders._RootTable(real.limit, real.primes, roots)
+        monkeypatch.setattr(prodorders, "_root_table", lambda n, limit: tampered)
+        with pytest.raises(ArithmeticError, match=r"17 does not divide 3\^\(2\^2\)\+1"):
+            build_valuation_table(30, 2)
+
+    @pytest.mark.parametrize(
+        "n,lo,m",
+        [
+            (3, 200, 234),  # 234^8 + 1 < 2^63: int64 values
+            (3, 200, 260),  # 235^8 + 1 > 2^63: Python int values
+            (1, 1, 400),  # squares of split primes divide, such as 5^2 | 7^2 + 1
+        ],
+    )
+    def test_strip_matches_sympy_factorint(self, n, lo, m):
+        pytest.importorskip("sympy")
+        primes, counts = prodorders._strip_and_split(n, lo, m)
+        ends = np.cumsum(counts)
+        got = [Counter(primes[a:b].tolist()) for a, b in zip((ends - counts).tolist(), ends.tolist())]
+        assert got == factorizations_by_sympy(n, lo, m)
 
     def test_rho_factors_are_proper_divisors(self):
         for v, k in ((1000009 * 1000033, 8), ((2**61 - 1) * 1000003, 16), (65537 * 274177, 4)):
@@ -399,7 +440,7 @@ class TestCofactorMachinery:
     def test_factor_residuals_matches_naive(self):
         vs = [97, 6**4 + 1, 91 * 89, 2**4 * 3**3 * 1297, 10**12 + 39, 10007**2, 3 * 10007**2]
         got = [Counter() for _ in vs]
-        for i, p in _factor_residuals(vs, 2, 4):
+        for i, p in zip(*_factor_residuals(np.array(vs), 2, 4)):
             got[i][p] += 1
         assert got == [Counter(factorize_naive(v)) for v in vs]
 
@@ -421,8 +462,8 @@ class TestCofactorMachinery:
             for bits in range(21, 28)
             for p, q in zip(*[iter(self.split_primes(rng, bits, 8, 12))] * 2)
         ][:40]
-        assert all(v < prodorders._WORD_LIMIT for v in word)
-        big = [(2**61 - 1) * 1000003, (2**61 - 1) * 65537, prodorders._WORD_LIMIT + 1]  # 33 | 2^55 + 1
+        assert all(v < WORD_LIMIT for v in word)
+        big = [(2**61 - 1) * 1000003, (2**61 - 1) * 65537, WORD_LIMIT + 1]  # 33 | 2^55 + 1
         vs = big[:1] + word[:20] + big[1:] + word[20:]
         batches, rho = [], []
         walk, brent = prodorders._walk_lanes, prodorders._rho_brent
@@ -431,6 +472,18 @@ class TestCofactorMachinery:
         ds = _split_composites(vs, 8)
         assert all(1 < d < v and v % d == 0 for v, d in zip(vs, ds))
         assert batches == [word] and sorted(rho) == sorted(big)
+
+    def test_word_size_residuals_are_proved_in_one_batch(self, monkeypatch, cold_engines):
+        # at m = 5000, n = 2, B = 2^20 and the residuals from (B+1)^2 up all lie
+        # below 2^55: one is_prime_batch call proves them, and the scalar
+        # is_prime sees only the root moduli p <= m of alpha_p's cross-check
+        scalar, batches = [], []
+        is_prime_real, batch_real = ntcore.is_prime, prodorders.is_prime_batch
+        monkeypatch.setattr(ntcore, "is_prime", lambda v: scalar.append(v) or is_prime_real(v))
+        monkeypatch.setattr(prodorders, "is_prime_batch", lambda vs: batches.append(len(vs)) or batch_real(vs))
+        build_valuation_table(5000, 2)
+        assert len(batches) == 1 and batches[0] >= prodorders._MIN_PRIME_BATCH
+        assert max(scalar, default=0) <= 5000
 
     def test_small_batches_and_collapsing_walks_reach_rho(self):
         # a batch below _MIN_BATCH skips the kernel; for composites this small
@@ -459,7 +512,7 @@ class TestCofactorMachinery:
         @hypothesis.given(st.lists(lane(), min_size=1, max_size=16))
         def check(lanes):
             v, a, b = (np.array(col, dtype=np.int64) for col in zip(*lanes))
-            got = prodorders._mulmod(a, b, v, 1.0 / v).tolist()
+            got = ntcore._mulmod(a, b, v, 1.0 / v).tolist()
             assert got == [x * y % m for m, x, y in lanes]
 
         check()
