@@ -9,10 +9,7 @@ analytic estimates that extend the statement beyond that range.
 """
 
 from .analytic import (
-    check_bt_bound,
-    check_logsum_bound,
-    check_pi_bound,
-    check_theta_window,
+    check_sampled_bound,
     final_inequality_crossing,
     final_inequality_margin,
     pi,
@@ -30,13 +27,11 @@ from .cyclotomic import (
     single_entry_search,
 )
 from .ntcore import (
-    RootSet,
     count_roots_upto,
     is_prime,
     roots_of_minus_one,
 )
 from .partitions import (
-    Partition,
     big_n,
     condition_witness,
     enumerate_partitions,
@@ -60,8 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Check",
     "CongruenceSystem",
-    "Partition",
-    "RootSet",
     "ValuationTable",
     "alpha_p",
     "alpha_two",
@@ -69,11 +62,8 @@ __all__ = [
     "big_n",
     "bound_checks",
     "build_valuation_table",
-    "check_bt_bound",
-    "check_logsum_bound",
-    "check_pi_bound",
     "check_prime_bound",
-    "check_theta_window",
+    "check_sampled_bound",
     "condition_witness",
     "count_roots_upto",
     "counterexample_search",

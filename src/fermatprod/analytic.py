@@ -24,8 +24,10 @@ on the store, by kind, modulus, class and block; the store only appends,
 so a whole block never changes, and a query computes only its last,
 partial block and the whole blocks no earlier query reached.  A
 log-weighted sum adds its blocks' exact totals and is rounded once, so it
-returns what math.fsum would, bit for bit.  A bound only counts as passed
-when its margin exceeds 1e-9, otherwise it is flagged ambiguous.
+returns what math.fsum would, bit for bit.  One routine,
+check_sampled_bound, checks each of the four sampled bounds on a sieve.  A
+bound only counts as passed when its margin exceeds 1e-9, otherwise it is
+flagged ambiguous.
 """
 
 from __future__ import annotations
@@ -392,117 +394,83 @@ def _record(x: int, lhs: float, rhs: float, margin: float) -> dict:
     return {"x": x, "lhs": lhs, "rhs": rhs, "margin": margin, "status": status}
 
 
-def _sampled(name: str, records: list[dict]) -> Check:
-    """Sampled verification of one inequality; passed iff every sample passes."""
-    passed = all(r["status"] == "pass" for r in records)
-    return Check(name, passed, {"records": records})
+_BOUND_NAMES = {
+    "pi": "pi_bound", "bt": "bt_bound", "logsum": "logsum_bound", "theta": "theta_window"
+}
 
 
-def _at_least(lo: int, samples, claim: str) -> tuple[int, ...]:
-    """samples as a tuple; the first x below lo raises ValueError, "<claim>, got <x>"."""
-    samples = tuple(samples)
-    for x in samples:
+def _samples(kind: str, xs, n: int, a: int, limit: int) -> tuple[int, ...]:
+    """The points of kind's check on a sieve up to limit, or the error it raises for its arguments.
+
+    Empty xs takes the default points: 10^6 and limit for pi and theta,
+    10^6 for logsum, ten log-spaced points from 4^(n+1) to limit for bt.
+    The first point below the bound's range raises ValueError.
+    """
+    xs = tuple(xs or ())
+    if kind == "bt":
+        if n < 2:
+            raise ValueError(f"bound is asserted for n >= 2, got {n}")
+        lo = 4 ** (n + 1)
+        claim = f"bound needs x >= 4^(n+1) = {lo}"
+        if not xs:
+            # refused before the float grid, which cannot take 4^(n+1) >= 2^64
+            if lo > limit:
+                raise BeyondSieveError(f"x=4^{n + 1} beyond sieved limit {limit}")
+            grid = np.geomspace(lo, limit, 10)
+            return tuple(sorted({max(lo, min(limit, int(round(v)))) for v in grid}))
+    elif kind in ("pi", "logsum", "theta"):
+        if kind != "pi" and a not in (1, 3, 5, 7):
+            raise ValueError(f"a must be an odd class mod 8, got {a}")
+        lo = 10**6
+        claim = f"{'window' if kind == 'theta' else 'bound'} is asserted only for x >= 10^6"
+        xs = xs or ((lo,) if kind == "logsum" else tuple(sorted({lo, limit})))
+    else:
+        raise ValueError(f"unknown sieve check {kind!r}")
+    for x in xs:
         if x < lo:
             raise ValueError(f"{claim}, got {x}")
-    return samples
+    return xs
 
 
-def _pi_samples(samples) -> tuple[int, ...]:
-    return _at_least(10**6, samples, "bound is asserted only for x >= 10^6")
+def check_sampled_bound(kind: str, samples, sieve: SievedPrimes, n: int, a: int) -> Check:
+    """One analytic bound, checked at each sample on sieve; passed iff every sample passes.
 
-
-def _bt_samples(n: int, samples, limit: int) -> tuple[int, ...]:
-    """check_bt_bound's points on a sieve up to limit, or the error it raises for its arguments."""
-    if n < 2:
-        raise ValueError(f"bound is asserted for n >= 2, got {n}")
-    lo = 4 ** (n + 1)
-    if samples is None:
-        # refused before the float grid, which cannot take 4^(n+1) >= 2^64
-        if lo > limit:
-            raise BeyondSieveError(f"x=4^{n + 1} beyond sieved limit {limit}")
-        return _grid(lo, limit, 10)
-    return _at_least(lo, samples, f"bound needs x >= 4^(n+1) = {lo}")
-
-
-def _class_samples(a: int, samples, claim: str) -> tuple[int, ...]:
-    """Points of a check on the odd class a mod 8, or the error it raises for its arguments."""
-    if a not in (1, 3, 5, 7):
-        raise ValueError(f"a must be an odd class mod 8, got {a}")
-    return _at_least(10**6, samples, f"{claim} is asserted only for x >= 10^6")
-
-
-def check_pi_bound(samples, sieve: SievedPrimes) -> Check:
-    """pi(x) <= 1.1 x / ln x for x >= 10^6."""
-    records = []
-    for x in _pi_samples(samples):
-        lhs = float(pi(x, sieve))
-        rhs = 1.1 * x / math.log(x)
-        records.append(_record(x, lhs, rhs, rhs - lhs))
-    return _sampled("pi_bound", records)
-
-
-def _grid(lo: int, hi: int, points: int) -> tuple[int, ...]:
-    xs = np.geomspace(lo, hi, points)
-    return tuple(sorted({max(lo, min(hi, int(round(v)))) for v in xs}))
-
-
-def check_bt_bound(n: int, samples, sieve: SievedPrimes) -> Check:
-    """Brun-Titchmarsh specialization pi(x; 2^(n+1), 1) <= 4x / (2^n ln x) for x >= 4^(n+1).
-
-    samples None checks ten log-spaced points from 4^(n+1) to the sieve's limit.
+    "pi" (check "pi_bound"): pi(x) <= 1.1 x / ln x for x >= 10^6.  "bt"
+    ("bt_bound"): pi(x; 2^(n+1), 1) <= 4x / (2^n ln x) for x >= 4^(n+1), n >= 2
+    (Brun-Titchmarsh).  "logsum" ("logsum_bound"): sum_{p <= x, p = a mod 8}
+    ln p / p > 0.245 ln x - 3.15 for x >= 10^6.  "theta" ("theta_window"):
+    |theta(x; 8, a) - x/4| < 0.024 x / ln x, spot-checked at desk scale.
+    a is an odd class mod 8; empty samples take _samples' default points.
     """
     records = []
-    for x in _bt_samples(n, samples, sieve.limit):
-        lhs = float(pi_ap(x, 1 << (n + 1), 1, sieve))
-        rhs = 4.0 * x / ((1 << n) * math.log(x))
-        records.append(_record(x, lhs, rhs, rhs - lhs))
-    return _sampled("bt_bound", records)
-
-
-def check_logsum_bound(a: int, x: int, sieve: SievedPrimes) -> Check:
-    """sum_{p <= x, p = a mod 8} ln p / p > 0.245 ln x - 3.15 for x >= 10^6, a in {1,3,5,7}."""
-    _class_samples(a, (x,), "bound")
-    lhs = _streamed_sum(_class_parts("logsum", x, 8, a, sieve))
-    rhs = 0.245 * math.log(x) - 3.15
-    return _sampled("logsum_bound", [_record(x, lhs, rhs, lhs - rhs)])
-
-
-def check_theta_window(a: int, samples, sieve: SievedPrimes) -> Check:
-    """|theta(x; 8, a) - x/4| < 0.024 x / ln x, spot-checked at desk scale."""
-    records = []
-    for x in _class_samples(a, samples, "window"):
-        lhs = abs(theta_ap(x, 8, a, sieve) - x / 4.0)
-        rhs = 0.024 * x / math.log(x)
-        records.append(_record(x, lhs, rhs, rhs - lhs))
-    return _sampled("theta_window", records)
+    for x in _samples(kind, samples, n, a, sieve.limit):
+        if kind == "pi":
+            lhs = float(pi(x, sieve))
+            rhs = 1.1 * x / math.log(x)
+        elif kind == "bt":
+            lhs = float(pi_ap(x, 1 << (n + 1), 1, sieve))
+            rhs = 4.0 * x / ((1 << n) * math.log(x))
+        elif kind == "logsum":
+            lhs = _streamed_sum(_class_parts("logsum", x, 8, a, sieve))
+            rhs = 0.245 * math.log(x) - 3.15
+        else:
+            lhs = abs(theta_ap(x, 8, a, sieve) - x / 4.0)
+            rhs = 0.024 * x / math.log(x)
+        records.append(_record(x, lhs, rhs, lhs - rhs if kind == "logsum" else rhs - lhs))
+    passed = all(r["status"] == "pass" for r in records)
+    return Check(_BOUND_NAMES[kind], passed, {"records": records})
 
 
 def sieve_check(kind: str, limit: int, xs: tuple[int, ...], n: int, a: int) -> Check:
     """The analytic command's check of one kind ("pi", "bt", "logsum", "theta") up to limit.
 
-    Empty xs takes the default points: 10^6 and limit for pi and theta,
-    10^6 for logsum, ten log-spaced points from 4^(n+1) for bt.  Every
-    argument is refused, with the error the check itself raises, before the
-    sieve is made, so a refused check sieves nothing and leaves the prime
-    store as it was.
+    Every argument is refused, with the error the check itself raises,
+    before the sieve is made, so a refused check sieves nothing and leaves
+    the prime store as it was.
     """
     _refuse_past_cap(limit)
-    default = tuple(sorted({10**6, limit}))
-    if kind == "pi":
-        samples = _pi_samples(xs or default)
-        return check_pi_bound(samples, get_sieve(limit))
-    if kind == "bt":
-        samples = _bt_samples(n, xs or None, limit)
-        return check_bt_bound(n, samples, get_sieve(limit))
-    if kind == "logsum":
-        samples = _class_samples(a, xs or (10**6,), "bound")
-        sieve = get_sieve(limit)
-        records = [r for x in samples for r in check_logsum_bound(a, x, sieve).detail["records"]]
-        return _sampled("logsum_bound", records)
-    if kind == "theta":
-        samples = _class_samples(a, xs or default, "window")
-        return check_theta_window(a, samples, get_sieve(limit))
-    raise ValueError(f"unknown sieve check {kind!r}")
+    xs = _samples(kind, xs, n, a, limit)
+    return check_sampled_bound(kind, xs, get_sieve(limit), n, a)
 
 
 def final_inequality_margin(m: int, n: int) -> tuple[float, float]:

@@ -121,8 +121,8 @@ def _cmd_partitions(args) -> tuple[dict, Check]:
     payload = {
         "n": args.n,
         "forcing_total": partitions.big_n(args.n),
-        "extreme_partition": list(extreme.parts),
-        "extreme_total": extreme.total,
+        "extreme_partition": list(extreme),
+        "extreme_total": sum(extreme),
         "condition_witness_r": witness,
     }
     passed = witness == len(extreme)

@@ -149,7 +149,7 @@ def _min_level(r: int, n: int) -> int:
 
 def _root_exponents(n: int, p: int, xs: Sequence[int]) -> list[int]:
     """Odd exponents e_i with w^(e_i) = -x_i (mod p), w the least root of x^(2^n) = -1."""
-    w = roots_of_minus_one(n, p).roots[0]
+    w = roots_of_minus_one(n, p)[0]
     exp_of = dict(zip(odd_powers(w, n, p), range(1, 2 << n, 2)))
     try:
         return [exp_of[(-x) % p] for x in xs]
@@ -244,6 +244,18 @@ def _split_primes(n: int, limit: int) -> list[int]:
     return primes[primes % step == 1].tolist()
 
 
+def _by_order(n: int, p: int, xs) -> list[tuple[int, int]]:
+    """The first big_n(n) pairs (x, ord_p(x^(2^n)+1)), x in xs, by order descending, then x."""
+    pool = []
+    for x in xs:
+        v, o = x ** (1 << n) + 1, 0
+        while v % p == 0:
+            v //= p
+            o += 1
+        pool.append((x, o))
+    return sorted(pool, key=lambda kv: (-kv[1], kv[0]))[: big_n(n)]
+
+
 def _top_pool(n: int, p: int, x_limit: int) -> list[tuple[int, int]]:
     """The first big_n(n) pairs (x, ord_p(x^(2^n)+1)) of p's pool, by order descending, then x.
 
@@ -256,19 +268,10 @@ def _top_pool(n: int, p: int, x_limit: int) -> list[tuple[int, int]]:
     1, checked as x^(2^n) = -1 (mod p).  Those fill the rest, x ascending.
     """
     e, sq, total = 1 << n, p * p, big_n(n)
-    lifts = lifted_roots(n, p, 2).roots
+    lifts = lifted_roots(n, p, 2)
     if len(set(lifts)) != e or any(pow(r, e, sq) != sq - 1 for r in lifts):
         raise CertificateError(f"the lifted roots of x^(2^{n})+1 mod {p}^2 fail their check")
-    pool = []
-    for r in lifts:
-        for x in range(r, x_limit + 1, sq):
-            v, o = x**e + 1, 0
-            while v % p == 0:
-                v //= p
-                o += 1
-            pool.append((x, o))
-    pool.sort(key=lambda kv: (-kv[1], kv[0]))
-    del pool[total:]
+    pool = _by_order(n, p, (x for r in lifts for x in range(r, x_limit + 1, sq)))
     # each root class with its one lift mod p^2, ascending by class
     classes = sorted((r % p, r) for r in lifts)
     for block in range(0, x_limit + 1, p):
@@ -301,8 +304,7 @@ def iter_realizable_systems(
     total = big_n(n)
     for p in _split_primes(n, p_limit):
         pool = _top_pool(n, p, x_limit)
-        for part in enumerate_partitions(total, [o for _, o in pool]):
-            ks = part.parts
+        for ks in enumerate_partitions(total, [o for _, o in pool]):
             yield CongruenceSystem.make(
                 n, p, tuple((pool[i][0], ks[i]) for i in range(len(ks)))
             )
@@ -313,19 +315,17 @@ def counterexample_search(n: int, p_limit: int, x_limit: int) -> CongruenceSyste
 
     Exhaustive over split primes p <= p_limit: a violation at p needs its x
     values below (p-2)/2, so it exists iff the orders of x^(2^n)+1 over that
-    restricted range sum to at least big_n(n).  Each entry has order >= 1,
-    so the pool's first big_n(n) entries decide that.  Expected result is None.
+    restricted range sum to at least big_n(n).  That range lies below p, so
+    its pool is p's roots mod p within it, each of order >= 1, and the
+    pool's first big_n(n) entries decide.  Expected result is None.
     """
     total = big_n(n)
     for p in _split_primes(n, p_limit):
         viol_cap = min(x_limit, (p - 3) // 2)
-        if viol_cap < 1:
-            continue
-        pool = _top_pool(n, p, viol_cap)
+        pool = _by_order(n, p, [r for r in roots_of_minus_one(n, p) if r <= viol_cap])
         if sum(o for _, o in pool) < total:
             continue
-        entries = []
-        remaining = total
+        entries, remaining = [], total
         for x, o in pool:
             k = min(o, remaining)
             entries.append((x, k))

@@ -5,6 +5,8 @@ is_prime_batch for a whole int64 array of values below WORD_LIMIT = 2^55 at
 once, and is_probable_prime (Baillie-PSW above 2^64) for cofactors and root
 moduli.  is_prime and is_prime_batch run the same trial division and the
 same Miller-Rabin witness sets, so they give the same verdicts.
+roots_of_minus_one and lifted_roots return the roots mod p and mod p^j as
+plain ascending tuples, as each caller already knows its n and modulus.
 
 The scalar functions operate on plain Python integers, so results stay
 exact at any size; CPython's native pow() provides the fast path below
@@ -17,7 +19,6 @@ on it.  All functions are pure and safe for concurrent use.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
@@ -43,19 +44,6 @@ WORD_LIMIT = 1 << 55
 # 4,747 and 9,596 entries, so the bound costs it no hits, and a long-lived
 # process keeps a bounded number of root tuples.
 ROOT_CACHE_SIZE = 1 << 15
-
-
-@dataclass(frozen=True)
-class RootSet:
-    """All canonical solutions of x^(2^n) = -1 (mod modulus), modulus = p^j.
-
-    Roots are sorted ascending, lie in [0, modulus), and come in negated
-    pairs r, modulus - r.  There are exactly 2^n of them.
-    """
-
-    n: int
-    modulus: int
-    roots: tuple[int, ...]
 
 
 def _strong_probable_prime(v: int, bases: tuple[int, ...]) -> bool:
@@ -266,8 +254,10 @@ def odd_powers(z, n: int, mod):
 
 
 @lru_cache(maxsize=ROOT_CACHE_SIZE)
-def roots_of_minus_one(n: int, p: int) -> RootSet:
-    """All 2^n residues r with r^(2^n) = -1 (mod p), ascending.
+def roots_of_minus_one(n: int, p: int) -> tuple[int, ...]:
+    """All 2^n residues r with r^(2^n) = -1 (mod p), as an ascending tuple.
+
+    They lie in [0, p), are exactly 2^n, and come in negated pairs r, p - r.
 
     p must be an odd prime with p = 1 (mod 2^(n+1)), else NotSplittingError
     is raised: the congruence has no solutions, or, for a composite p, more
@@ -284,12 +274,15 @@ def roots_of_minus_one(n: int, p: int) -> RootSet:
     if not is_probable_prime(p):
         raise NotSplittingError(f"roots of x^(2^{n}) = -1 are made mod a prime only: {p} is not prime")
     z = pow(_least_nonresidue(p), (p - 1) >> (n + 1), p)
-    return RootSet(n=n, modulus=p, roots=tuple(sorted(odd_powers(z, n, p))))
+    return tuple(sorted(odd_powers(z, n, p)))
 
 
 @lru_cache(maxsize=ROOT_CACHE_SIZE)
-def lifted_roots(n: int, p: int, j: int) -> RootSet:
-    """RootSet of x^(2^n) = -1 modulo p^j, for j >= 1.
+def lifted_roots(n: int, p: int, j: int) -> tuple[int, ...]:
+    """All roots of x^(2^n) = -1 modulo p^j, for j >= 1, as an ascending tuple.
+
+    They lie in [0, p^j), are exactly 2^n, and come in negated pairs
+    r, p^j - r; j = 1 gives roots_of_minus_one(n, p).
 
     For j >= 2 the roots are the odd powers of the Teichmueller lift
     Z = w^(p^(j-1)) mod p^j of w, the least root mod p.  Z = w (mod p),
@@ -306,8 +299,8 @@ def lifted_roots(n: int, p: int, j: int) -> RootSet:
     if j == 1:
         return base
     mod = p**j
-    z = pow(base.roots[0], p ** (j - 1), mod)
-    return RootSet(n=n, modulus=mod, roots=tuple(sorted(odd_powers(z, n, mod))))
+    z = pow(base[0], p ** (j - 1), mod)
+    return tuple(sorted(odd_powers(z, n, mod)))
 
 
 def count_roots_upto(n: int, p: int, j: int, m: int) -> int:
@@ -319,6 +312,6 @@ def count_roots_upto(n: int, p: int, j: int, m: int) -> int:
     """
     if m < 0:
         raise ValueError(f"scan bound must be >= 0, got {m}")
-    rs = lifted_roots(n, p, j)
-    q, t = divmod(m, rs.modulus)
-    return q * len(rs.roots) + bisect_right(rs.roots, t)
+    roots = lifted_roots(n, p, j)
+    q, t = divmod(m, p**j)
+    return q * len(roots) + bisect_right(roots, t)

@@ -5,6 +5,7 @@ every partition k_1 >= ... >= k_s of it has an index r with
 
     r >= floor(2^(n - floor(log2 k_r) - 1)) + 1.
 
+A partition is a plain tuple of its parts, non-increasing and positive.
 Minimality is proved by a counting argument over the extreme partition's
 caps, never by listing partitions.  enumerate_partitions lists the
 partitions of a total that fit under per-index caps; the cyclotomic search
@@ -15,44 +16,12 @@ point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InfeasibleSizeError
 
 # extreme_partition builds 2^(n-1) + 1 parts; proving n = 20 minimal takes 0.6 s.
 PARTITION_MAX_N = 20
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Non-increasing positive integer parts."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.parts:
-            raise ValueError("partition needs at least one part")
-        prev = None
-        for k in self.parts:
-            if k < 1:
-                raise ValueError(f"parts must be positive, got {k}")
-            if prev is not None and k > prev:
-                raise ValueError(f"parts must be non-increasing, got {self.parts}")
-            prev = k
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
 
 
 def r_bound(m: int, n: int) -> int:
@@ -71,21 +40,33 @@ def big_n(n: int) -> int:
     return n * (1 << (n - 1)) + 1
 
 
+def _check_parts(parts: tuple[int, ...]) -> None:
+    """Refuse, with ValueError, parts that are empty, not positive or not non-increasing."""
+    if not parts:
+        raise ValueError("partition needs at least one part")
+    for prev, k in zip((parts[0], *parts), parts):
+        if k < 1:
+            raise ValueError(f"parts must be positive, got {k}")
+        if k > prev:
+            raise ValueError(f"parts must be non-increasing, got {parts}")
+
+
 def condition_witness(parts: Iterable[int], n: int) -> int | None:
     """The smallest index r with r >= r_bound(floor(log2 k_r), n), 1-based, or None.
 
-    Accepts a Partition or any non-increasing sequence of positive parts;
-    None means the partition does not satisfy the condition.
+    Accepts any non-increasing sequence of positive parts, and refuses any
+    other with ValueError; None means the partition does not satisfy the
+    condition.
     """
     seq = tuple(parts)
-    Partition(seq)  # validate shape
+    _check_parts(seq)
     for r, k in enumerate(seq, start=1):
         if r >= r_bound(k.bit_length() - 1, n):
             return r
     return None
 
 
-def extreme_partition(n: int) -> Partition:
+def extreme_partition(n: int) -> tuple[int, ...]:
     """The unique partition of big_n(n) that satisfies the condition only at its last part.
 
     It has s = 2^(n-1) + 1 parts: k_r = 2^(n - ceil(log2 r)) - 1 for r < s and
@@ -98,11 +79,13 @@ def extreme_partition(n: int) -> Partition:
     s = (1 << (n - 1)) + 1
     parts = [(1 << (n - (r - 1).bit_length())) - 1 for r in range(1, s)]
     parts.append(1)
-    return Partition(tuple(parts))
+    return tuple(parts)
 
 
-def enumerate_partitions(total: int, caps: Sequence[int] | None = None) -> Iterator[Partition]:
-    """Every partition of total exactly once, reverse lexicographic order.
+def enumerate_partitions(
+    total: int, caps: Sequence[int] | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Every partition of total exactly once, as a tuple, in reverse lexicographic order.
 
     caps, if given, is a non-increasing bound per index: only partitions
     with at most len(caps) parts and k_i <= caps[i] are generated, in the
@@ -159,12 +142,12 @@ def enumerate_partitions(total: int, caps: Sequence[int] | None = None) -> Itera
             if not rem:
                 break
             v = c
-        yield Partition(tuple(a))
+        yield tuple(a)
         while h >= 0 and a[h] == 2 and len(a) < size:
             a[h] = 1
             a.append(1)
             h -= 1
-            yield Partition(tuple(a))
+            yield tuple(a)
         if h < 0:
             return
         # lower the rightmost part whose remainder still fits after it
@@ -193,7 +176,7 @@ def verify_minimality(n: int) -> bool:
     index; so a failing partition has total at most sum(c_r) = big_n(n) - 1.
     The caps themselves fail, so big_n(n) - 1 does not force.
     """
-    caps = extreme_partition(n).parts[:-1]
+    caps = extreme_partition(n)[:-1]
     falling = all(r_bound(m + 1, n) <= r_bound(m, n) for m in range(n))
     tight = all(
         r_bound(c.bit_length() - 1, n) > r >= r_bound((c + 1).bit_length() - 1, n)

@@ -83,10 +83,11 @@ def alpha_p(m: int, n: int, p: int) -> int:
 
     Zero unless p = 1 (mod 2^(n+1)); otherwise the sum over j of the root
     counts #{x <= m : p^j | x^(2^n)+1}, with j running while p^j stays at or
-    below m^(2^n)+1.  Only parity is checked here, as every caller passes
-    sieved or split primes and a primality test per call would repeat on
-    each of them: a composite p outside that class, or past m^(2^n)+1, gets
-    0, and one that reaches the root count raises NotSplittingError.
+    below m^(2^n)+1.  That value is never formed: at n = 20 and m = 10^12 it
+    has 41.8 million bits.  Only parity is checked here, as every caller
+    passes sieved or split primes and a primality test per call would repeat
+    on each of them: a composite p outside that class, or past m^(2^n)+1,
+    gets 0, and one that reaches the root count raises NotSplittingError.
     """
     if p < 3 or p % 2 == 0:
         raise ValueError(f"odd p required, whose primality the caller vouches for, got {p}")
@@ -94,9 +95,13 @@ def alpha_p(m: int, n: int, p: int) -> int:
         raise ValueError(f"need m >= 1, got {m}")
     if (p - 1) % (1 << (n + 1)):
         return 0
-    vmax = m ** (1 << n) + 1
-    total, j, pj = 0, 1, p
-    while pj <= vmax:
+    total, j, pj, w, k = 0, 1, p, m, 0
+    while True:
+        # w = m^(2^k), squared only until it reaches p^j: p^j <= m^(2^n)+1 iff w + 1 >= p^j
+        while w < pj and k < n:
+            w, k = w * w, k + 1
+        if w + 1 < pj:
+            break
         c = count_roots_upto(n, p, j, m)
         if c == 0:
             break
@@ -638,7 +643,7 @@ def _next_link(n: int, frontier: int, cap: int) -> dict | None:
         p = a**e + 1
         if not is_prime(p):
             continue
-        nxt = sorted(r + p if r <= a else r for r in roots_of_minus_one(n, p).roots)
+        nxt = sorted(r + p if r <= a else r for r in roots_of_minus_one(n, p))
         p2 = p * p
         orders_one = all((t := pow(x, e, p2)) % p == p - 1 and t != p2 - 1 for x in nxt[:-1])
         if orders_one and nxt[-1] - 1 > frontier:

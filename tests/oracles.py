@@ -9,7 +9,7 @@ from math import isqrt
 import numpy as np
 
 from fermatprod.cyclotomic import CongruenceSystem
-from fermatprod.ntcore import is_prime
+from fermatprod.ntcore import count_roots_upto, is_prime
 from fermatprod.partitions import big_n, enumerate_partitions, extreme_partition, r_bound
 
 SEGMENT_SIZE = 1 << 20
@@ -102,9 +102,9 @@ def minimality_by_enumeration(n: int) -> bool:
     """
     total = big_n(n)
     thresholds = [0] + [r_bound(b - 1, n) for b in range(1, total.bit_length() + 1)]
-    if not all(_satisfies_by_blocks(p.parts, thresholds) for p in enumerate_partitions(total)):
+    if not all(_satisfies_by_blocks(p, thresholds) for p in enumerate_partitions(total)):
         return False
-    return not _satisfies_by_blocks(extreme_partition(n).parts[:-1], thresholds)
+    return not _satisfies_by_blocks(extreme_partition(n)[:-1], thresholds)
 
 
 def is_prime_by_trial(v: int) -> bool:
@@ -137,6 +137,22 @@ def hensel_lift_by_newton(n: int, p: int, r: int, j: int) -> int:
         ds = e * pow(s, e - 1, mod) % mod
         s = (s - fs * pow(ds, -1, mod)) % mod
     return s
+
+
+def alpha_p_by_vmax(m: int, n: int, p: int) -> int:
+    """alpha_p's sum of root counts, its j bounded by forming vmax = m^(2^n)+1 itself."""
+    if (p - 1) % (1 << (n + 1)):
+        return 0
+    vmax = m ** (1 << n) + 1
+    total, j, pj = 0, 1, p
+    while pj <= vmax:
+        c = count_roots_upto(n, p, j, m)
+        if c == 0:
+            break
+        total += c
+        j += 1
+        pj *= p
+    return total
 
 
 def orders_by_scan(n: int, p: int, x_limit: int) -> dict[int, int]:

@@ -11,10 +11,7 @@ import pytest
 
 from fermatprod import prodorders
 from fermatprod.analytic import (
-    check_bt_bound,
-    check_logsum_bound,
-    check_pi_bound,
-    check_theta_window,
+    check_sampled_bound,
     final_inequality_crossing,
     final_inequality_margin,
     get_sieve,
@@ -94,7 +91,7 @@ def test_criterion_04_partition_closed_forms():
     }
     totals = {1: 2, 2: 5, 3: 13, 4: 33, 5: 81}
     ok = all(
-        extreme_partition(n).parts == expected[n] and big_n(n) == totals[n]
+        extreme_partition(n) == expected[n] and big_n(n) == totals[n]
         for n in range(1, 6)
     )
     report(4, ok, f"extreme partitions verbatim for n=1..5, totals {list(totals.values())}")
@@ -205,15 +202,15 @@ def test_criterion_08_adversarial_prime_bound_search():
 def test_criterion_09_analytic_spot_checks():
     start = time.perf_counter()
     sieve = get_sieve(10**7)
-    pi_rep = check_pi_bound((10**6, 10**7), sieve)
+    pi_rep = check_sampled_bound("pi", (10**6, 10**7), sieve, 2, 1)
     pi_exact = pi_rep.detail["records"][0]["lhs"] == 78498
-    bt_ok = all(check_bt_bound(n, None, sieve).passed for n in (2, 3))
+    bt_ok = all(check_sampled_bound("bt", None, sieve, n, 1).passed for n in (2, 3))
     logsum_ok = True
     theta_ok = True
     for a in (1, 3, 5, 7):
-        rep = check_logsum_bound(a, 10**6, sieve)
+        rep = check_sampled_bound("logsum", (10**6,), sieve, 2, a)
         logsum_ok = logsum_ok and rep.passed and rep.detail["records"][0]["margin"] > 1e-9
-        theta_ok = theta_ok and check_theta_window(a, (10**6, 10**7), sieve).passed
+        theta_ok = theta_ok and check_sampled_bound("theta", (10**6, 10**7), sieve, 2, a).passed
     elapsed = time.perf_counter() - start
     ok = pi_rep.passed and pi_exact and bt_ok and logsum_ok and theta_ok and elapsed < 30.0
     report(9, ok, f"pi/bt/logsum/theta all hold at 1e6..1e7, {elapsed:.1f}s")

@@ -18,10 +18,7 @@ from fermatprod import analytic
 from fermatprod.analytic import (
     DEFAULT_SIEVE_LIMIT,
     SievedPrimes,
-    check_bt_bound,
-    check_logsum_bound,
-    check_pi_bound,
-    check_theta_window,
+    check_sampled_bound,
     exact_sum,
     final_inequality_crossing,
     final_inequality_margin,
@@ -97,11 +94,9 @@ class TestSieves:
 
     @pytest.mark.long
     def test_pi_bound_at_1e8_segmented(self):
-        from fermatprod.analytic import SievedPrimes, check_pi_bound
-
         sieve = SievedPrimes(10**8, segmented_primes(10**8))
         assert len(sieve.primes) == 5761455
-        assert check_pi_bound((10**6, 10**8), sieve).passed
+        assert check_sampled_bound("pi", (10**6, 10**8), sieve, 2, 1).passed
 
     @pytest.mark.long
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
@@ -365,7 +360,7 @@ class TestAgainstReduction:
         rng = random.Random(limit)
         for x in sample_points(rng, sieve, 10**6):
             for a in (1, 3, 5, 7):
-                lhs = check_logsum_bound(a, x, sieve).detail["records"][0]["lhs"]
+                lhs = check_sampled_bound("logsum", (x,), sieve, 2, a).detail["records"][0]["lhs"]
                 assert lhs == logsum_by_fsum(a, x, sieve.primes), (x, a)
 
     # (limit, x, a): theta(x; 8, a) and the logsum lhs, as float.hex, as one
@@ -389,7 +384,7 @@ class TestAgainstReduction:
         for (limit, x, a), (theta, logsum) in self.PINNED.items():
             sieve = get_sieve(limit)
             assert theta_ap(x, 8, a, sieve).hex() == theta, (limit, x, a)
-            lhs = check_logsum_bound(a, x, sieve).detail["records"][0]["lhs"]
+            lhs = check_sampled_bound("logsum", (x,), sieve, 2, a).detail["records"][0]["lhs"]
             assert lhs.hex() == logsum, (limit, x, a)
 
     def test_direct_sieve_keeps_its_own_totals(self):
@@ -562,7 +557,7 @@ def class_queries(x: int, sieve: SievedPrimes) -> dict:
         got["pi", q, a] = pi_ap(x, q, a, sieve)
         got["theta", q, a] = theta_ap(x, q, a, sieve)
         if q == 8 and x >= 10**6:
-            got["logsum", q, a] = check_logsum_bound(a, x, sieve).detail["records"][0]["lhs"]
+            got["logsum", q, a] = check_sampled_bound("logsum", (x,), sieve, 2, a).detail["records"][0]["lhs"]
     return got
 
 
@@ -797,17 +792,17 @@ class TestExactSum:
 
 class TestBoundChecks:
     def test_pi_bound(self):
-        rep = check_pi_bound((10**6,), SIEVE)
+        rep = check_sampled_bound("pi", (10**6,), SIEVE, 2, 1)
         assert rep.passed
         rec = rep.detail["records"][0]
         assert rec["lhs"] == 78498 and rec["rhs"] == pytest.approx(1.1 * 10**6 / math.log(10**6))
 
     def test_pi_bound_rejects_small_samples(self):
         with pytest.raises(ValueError):
-            check_pi_bound((10**5,), SIEVE)
+            check_sampled_bound("pi", (10**5,), SIEVE, 2, 1)
 
     def test_bt_bound_boundary(self):
-        rep = check_bt_bound(2, (64, 10**4, 10**6), SIEVE)
+        rep = check_sampled_bound("bt", (64, 10**4, 10**6), SIEVE, 2, 1)
         assert rep.passed
         first = rep.detail["records"][0]
         assert first["lhs"] == 2  # 17 and 41 are the only hits up to 64
@@ -815,21 +810,21 @@ class TestBoundChecks:
 
     def test_bt_bound_various_levels(self):
         for n in (2, 3):
-            assert check_bt_bound(n, None, SIEVE).passed
+            assert check_sampled_bound("bt", None, SIEVE, n, 1).passed
 
     def test_logsum_bound_all_classes(self):
         for a in (1, 3, 5, 7):
-            rep = check_logsum_bound(a, 10**6, SIEVE)
+            rep = check_sampled_bound("logsum", (10**6,), SIEVE, 2, a)
             assert rep.passed
             assert rep.detail["records"][0]["margin"] > 1e-9
 
     def test_logsum_rhs_value(self):
-        rep = check_logsum_bound(3, 10**6, SIEVE)
+        rep = check_sampled_bound("logsum", (10**6,), SIEVE, 2, 3)
         assert rep.detail["records"][0]["rhs"] == pytest.approx(0.245 * math.log(10**6) - 3.15)
 
     def test_theta_window(self):
         for a in (1, 3, 5, 7):
-            assert check_theta_window(a, (10**6,), SIEVE).passed
+            assert check_sampled_bound("theta", (10**6,), SIEVE, 2, a).passed
 
 
 class TestFinalInequality:

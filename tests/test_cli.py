@@ -251,7 +251,7 @@ class TestAnalytic:
         assert [r["x"] for r in records] == [2_000_000, 3_000_000]
         sieve = analytic.get_sieve(3_000_000)
         for r in records:
-            assert r == analytic.check_logsum_bound(3, r["x"], sieve).detail["records"][0]
+            assert r == analytic.check_sampled_bound("logsum", (r["x"],), sieve, 2, 3).detail["records"][0]
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

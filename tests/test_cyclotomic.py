@@ -49,7 +49,7 @@ def binomial_coeffs(a, b, level, tp):
 
 def lift(n, p, r, j):
     """The member of lifted_roots(n, p, j) that is r mod p."""
-    (x,) = [x for x in lifted_roots(n, p, j).roots if x % p == r]
+    (x,) = [x for x in lifted_roots(n, p, j) if x % p == r]
     return x
 
 
@@ -277,7 +277,7 @@ class TestPrimeBound:
         from fermatprod.ntcore import roots_of_minus_one
 
         n, p = 3, 17
-        roots = roots_of_minus_one(n, p).roots
+        roots = roots_of_minus_one(n, p)
 
         def lift_entry(idx, j):
             return lift(n, p, roots[idx], j)
@@ -322,7 +322,7 @@ class TestPrimeBound:
     def test_search_would_report_a_planted_violation(self, monkeypatch):
         # counterexample_search's detector: feed it a fake prime whose
         # restricted-range pool meets the total, via a tiny shim
-        monkeypatch.setattr(cy, "_top_pool", lambda n, p, x_limit: [(1, 3), (2, 2)])
+        monkeypatch.setattr(cy, "_by_order", lambda n, p, xs: [(1, 3), (2, 2)])
         found = cy.counterexample_search(2, 18, 10)
         assert found is not None and found.total_order == big_n(2)
 

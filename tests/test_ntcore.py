@@ -163,12 +163,12 @@ class TestIsPrimeBatch:
 
 class TestRootsOfMinusOne:
     def test_small_cases(self):
-        assert roots_of_minus_one(1, 5).roots == (2, 3)
-        assert roots_of_minus_one(2, 17).roots == (2, 8, 9, 15)
+        assert roots_of_minus_one(1, 5) == (2, 3)
+        assert roots_of_minus_one(2, 17) == (2, 8, 9, 15)
 
     def test_chain_prime(self):
         # 1303 from the next-solution list reduces to 6 mod 1297
-        assert roots_of_minus_one(2, 1297).roots == (6, 216, 1081, 1291)
+        assert roots_of_minus_one(2, 1297) == (6, 216, 1081, 1291)
 
     def test_not_splitting(self):
         with pytest.raises(NotSplittingError):
@@ -182,15 +182,15 @@ class TestRootsOfMinusOne:
             for p in range(step + 1, 400, step):
                 if not is_prime(p):
                     continue
-                rs = roots_of_minus_one(n, p)
-                assert rs.roots == brute_roots(n, p), (n, p)
-                assert len(rs.roots) == 1 << n
+                roots = roots_of_minus_one(n, p)
+                assert roots == brute_roots(n, p), (n, p)
+                assert len(roots) == 1 << n
 
     def test_negation_closure(self):
         for n, p in ((1, 13), (2, 97), (3, 113), (2, 1297)):
-            rs = roots_of_minus_one(n, p)
-            for r in rs.roots:
-                assert (p - r) in rs.roots
+            roots = roots_of_minus_one(n, p)
+            for r in roots:
+                assert (p - r) in roots
 
     def test_composite_modulus_raises(self):
         # each modulus is 1 mod 2^(n+1), and no g <= isqrt(p) + 1 has g^((p-1)/2) = -1
@@ -233,7 +233,7 @@ def first_split_primes(n, count=2):
 
 
 def newton_lifts(n, p, j):
-    return tuple(sorted(hensel_lift_by_newton(n, p, r, j) for r in roots_of_minus_one(n, p).roots))
+    return tuple(sorted(hensel_lift_by_newton(n, p, r, j) for r in roots_of_minus_one(n, p)))
 
 
 class TestHenselLift:
@@ -241,8 +241,8 @@ class TestHenselLift:
         assert lifted_roots(2, 17, 1) == roots_of_minus_one(2, 17)
 
     def test_known_lifts(self):
-        assert 155 in lifted_roots(2, 17, 2).roots  # brute: only x < 289 with x^4 = -1, x = 2 mod 17
-        assert lifted_roots(1, 5, 2).roots == (7, 18)
+        assert 155 in lifted_roots(2, 17, 2)  # brute: only x < 289 with x^4 = -1, x = 2 mod 17
+        assert lifted_roots(1, 5, 2) == (7, 18)
 
     def test_matches_brute_force(self):
         for n in range(1, 7):
@@ -250,7 +250,7 @@ class TestHenselLift:
                 for j in range(1, 6):
                     if p**j > 70_000:
                         break
-                    assert lifted_roots(n, p, j).roots == brute_roots(n, p**j), (n, p, j)
+                    assert lifted_roots(n, p, j) == brute_roots(n, p**j), (n, p, j)
 
     def test_lift_consistency(self):
         # against Newton's lifts at every j, and each level reduces to the one below
@@ -258,7 +258,7 @@ class TestHenselLift:
             for p in first_split_primes(n):
                 prev = None
                 for j in range(1, 6):
-                    got = lifted_roots(n, p, j).roots
+                    got = lifted_roots(n, p, j)
                     assert got == newton_lifts(n, p, j), (n, p, j)
                     assert all(pow(r, 1 << n, p**j) == p**j - 1 for r in got)
                     if prev:
@@ -268,21 +268,21 @@ class TestHenselLift:
     def test_prime_above_2_63(self):
         p = 242**8 + 1  # a link prime of chain 3
         assert p > 1 << 63 and is_prime(p)
-        rs = lifted_roots(3, p, 2)
-        assert rs.roots == newton_lifts(3, p, 2)
-        assert len({r % p for r in rs.roots}) == 8
-        assert all(pow(r, 8, p * p) == p * p - 1 for r in rs.roots)
+        roots = lifted_roots(3, p, 2)
+        assert roots == newton_lifts(3, p, 2)
+        assert len({r % p for r in roots}) == 8
+        assert all(pow(r, 8, p * p) == p * p - 1 for r in roots)
 
     def test_caches_are_bounded(self):
         for cached in (roots_of_minus_one, lifted_roots):
             assert cached.cache_info().maxsize == ROOT_CACHE_SIZE
 
     def test_lifted_rootset_shape(self):
-        rs = lifted_roots(2, 17, 3)
-        assert rs.modulus == 17**3
-        assert len(rs.roots) == 4
-        for r in rs.roots:
-            assert rs.modulus - r in rs.roots  # negation closure survives lifting
+        roots = lifted_roots(2, 17, 3)
+        assert roots == tuple(sorted(roots)) and all(0 < r < 17**3 for r in roots)
+        assert len(roots) == 4
+        for r in roots:
+            assert 17**3 - r in roots  # negation closure survives lifting
         with pytest.raises(ValueError):
             lifted_roots(2, 17, 0)
 
@@ -335,7 +335,7 @@ class TestCountRoots:
                     for _ in range(n):
                         acc = acc * acc % pj  # pj^2 < 2^63 keeps this exact
                     naive = np.cumsum(acc == pj - 1)
-                    roots = np.array(lifted_roots(n, p, j).roots, dtype=np.int64)
+                    roots = np.array(lifted_roots(n, p, j), dtype=np.int64)
                     formula = (ms // pj) * (1 << n) + np.searchsorted(
                         roots, ms % pj, side="right"
                     )
@@ -344,10 +344,10 @@ class TestCountRoots:
 
     def test_interval_decomposition(self):
         for n, p, j in ((2, 17, 1), (2, 17, 2), (1, 13, 2)):
-            rs = lifted_roots(n, p, j)
+            roots = lifted_roots(n, p, j)
             for m in (0, 7, 100, 12345):
-                q, t = divmod(m, rs.modulus)
-                residual = sum(1 for r in rs.roots if r <= t)
+                q, t = divmod(m, p**j)
+                residual = sum(1 for r in roots if r <= t)
                 assert count_roots_upto(n, p, j, m) == q * (1 << n) + residual
 
     @pytest.mark.long
@@ -373,7 +373,7 @@ class TestCountRoots:
             while p**j <= 10**7:
                 found = scan_roots(p**j)
                 assert len(found) == 1 << n, (p, j)
-                assert lifted_roots(n, p, j).roots == found, (p, j)
+                assert lifted_roots(n, p, j) == found, (p, j)
                 j += 1
 
 
@@ -405,7 +405,7 @@ class TestPropertiesAgainstBruteForce:
         @hypothesis.given(st.data())
         def check(data):
             n, p, j = self.modulus(data, st)
-            assert lifted_roots(n, p, j).roots == brute_roots(n, p**j)
+            assert lifted_roots(n, p, j) == brute_roots(n, p**j)
 
         check()
 

@@ -6,7 +6,6 @@ from fermatprod import partitions
 from fermatprod.errors import InfeasibleSizeError
 from fermatprod.partitions import (
     PARTITION_MAX_N,
-    Partition,
     big_n,
     condition_witness,
     enumerate_partitions,
@@ -53,16 +52,16 @@ class TestClosedForms:
         assert [big_n(n) for n in (1, 2, 3, 4, 5)] == [2, 5, 13, 33, 81]
 
     def test_extreme_partitions_verbatim(self):
-        assert extreme_partition(1).parts == (1, 1)
-        assert extreme_partition(2).parts == (3, 1, 1)
-        assert extreme_partition(3).parts == (7, 3, 1, 1, 1)
-        assert extreme_partition(4).parts == (15, 7, 3, 3, 1, 1, 1, 1, 1)
-        assert extreme_partition(5).parts == (31, 15, 7, 7, 3, 3, 3, 3) + (1,) * 9
+        assert extreme_partition(1) == (1, 1)
+        assert extreme_partition(2) == (3, 1, 1)
+        assert extreme_partition(3) == (7, 3, 1, 1, 1)
+        assert extreme_partition(4) == (15, 7, 3, 3, 1, 1, 1, 1, 1)
+        assert extreme_partition(5) == (31, 15, 7, 7, 3, 3, 3, 3) + (1,) * 9
 
     def test_extreme_total_telescopes(self):
         for n in range(1, 17):
             ep = extreme_partition(n)
-            assert ep.total == big_n(n), n
+            assert sum(ep) == big_n(n), n
             assert len(ep) == (1 << (n - 1)) + 1
 
 
@@ -71,7 +70,7 @@ class TestCondition:
         for n in range(1, 7):
             ep = extreme_partition(n)
             assert condition_witness(ep, n) == len(ep)
-            trunc = ep.parts[:-1]
+            trunc = ep[:-1]
             assert condition_witness(trunc, n) is None
 
     def test_known_examples(self):
@@ -90,7 +89,7 @@ class TestCondition:
         for n in (2, 3):
             for part in enumerate_partitions(big_n(n)):
                 if condition_witness(part, n) is not None:
-                    extended = part.parts + (1,) * 3
+                    extended = part + (1,) * 3
                     assert condition_witness(extended, n) is not None
 
     def test_rejects_bad_shapes(self):
@@ -102,8 +101,8 @@ class TestCondition:
 
 class TestEnumeration:
     def test_small_golden(self):
-        assert [p.parts for p in enumerate_partitions(3)] == [(3,), (2, 1), (1, 1, 1)]
-        assert [p.parts for p in enumerate_partitions(5)] == [
+        assert list(enumerate_partitions(3)) == [(3,), (2, 1), (1, 1, 1)]
+        assert list(enumerate_partitions(5)) == [
             (5,),
             (4, 1),
             (3, 2),
@@ -125,20 +124,20 @@ class TestEnumeration:
             seen = set()
             prev = None
             for p in enumerate_partitions(total):
-                assert p.total == total
-                assert p.parts not in seen
-                seen.add(p.parts)
+                assert sum(p) == total
+                assert p not in seen
+                seen.add(p)
                 if prev is not None:
-                    assert p.parts < prev  # tuple order = lexicographic
-                prev = p.parts
+                    assert p < prev  # tuple order = lexicographic
+                prev = p
 
     def test_caps_small_golden(self):
-        assert [p.parts for p in enumerate_partitions(5, (3, 2, 1))] == [
+        assert list(enumerate_partitions(5, (3, 2, 1))) == [
             (3, 2),
             (3, 1, 1),
             (2, 2, 1),
         ]
-        assert [p.parts for p in enumerate_partitions(5, (9, 9, 0))] == [
+        assert list(enumerate_partitions(5, (9, 9, 0))) == [
             (5,),
             (4, 1),
             (3, 2),
@@ -163,11 +162,11 @@ class TestEnumeration:
         )
         def check(total, caps):
             want = [
-                p.parts
+                p
                 for p in enumerate_partitions(total)
-                if len(p) <= len(caps) and all(k <= c for k, c in zip(p.parts, caps))
+                if len(p) <= len(caps) and all(k <= c for k, c in zip(p, caps))
             ]
-            assert [p.parts for p in enumerate_partitions(total, caps)] == want
+            assert list(enumerate_partitions(total, caps)) == want
 
         check()
 
@@ -202,25 +201,25 @@ class TestMinimality:
     def test_extreme_is_pointwise_minimal(self):
         # any other partition of big_n(n) has more parts or a strictly bigger part
         for n in (2, 3, 4):
-            ep = extreme_partition(n).parts
+            ep = extreme_partition(n)
             for p in enumerate_partitions(big_n(n)):
-                if p.parts == ep:
+                if p == ep:
                     continue
                 bigger_somewhere = any(
-                    kp > ke for kp, ke in zip(p.parts, ep)
+                    kp > ke for kp, ke in zip(p, ep)
                 )
-                assert len(p) >= len(ep) or bigger_somewhere, (n, p.parts)
+                assert len(p) >= len(ep) or bigger_somewhere, (n, p)
 
     def test_truncated_extreme_is_unique_maximal_failure(self):
         # big_n(n) - 1 is the largest total admitting an everywhere-failing
         # partition, and the truncated extreme partition is the only one
         for n in (2, 3, 4):
             failures = [
-                p.parts
+                p
                 for p in enumerate_partitions(big_n(n) - 1)
                 if condition_witness(p, n) is None
             ]
-            assert failures == [extreme_partition(n).parts[:-1]], (n, failures)
+            assert failures == [extreme_partition(n)[:-1]], (n, failures)
 
     @pytest.mark.long
     def test_minimality_n5(self):
@@ -230,8 +229,10 @@ class TestMinimality:
 
 class TestPartitionType:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Partition(())
-        with pytest.raises(ValueError):
-            Partition((2, 3))
-        assert Partition((3, 1)).total == 4
+        # a partition is a plain tuple; condition_witness refuses any other shape
+        for bad in ((), (2, 3), (3, 0), (3, -1, 1)):
+            with pytest.raises(ValueError):
+                condition_witness(bad, 2)
+        assert condition_witness((3, 1, 1), 2) == 3
+        assert all(type(p) is tuple for p in enumerate_partitions(6))
+        assert type(extreme_partition(3)) is tuple

@@ -13,7 +13,6 @@ import pytest
 from fermatprod import ntcore, prodorders
 from fermatprod.ntcore import (
     WORD_LIMIT,
-    RootSet,
     is_prime,
     is_probable_prime,
     lifted_roots,
@@ -35,7 +34,7 @@ from fermatprod.prodorders import (
     is_qth_power_obstructed,
     verify_chain,
 )
-from oracles import factorizations_by_sympy, product_value, validate_chain_link
+from oracles import alpha_p_by_vmax, factorizations_by_sympy, product_value, validate_chain_link
 
 
 def ord_in(p, v):
@@ -81,6 +80,36 @@ class TestAlphaBeta:
             alpha_p(100, 1, 325)
         # the caller vouches for primality: outside the class, or past m^2 + 1, a composite gets 0
         assert alpha_p(2, 1, 9) == alpha_p(17, 1, 325) == 0
+
+    def test_alpha_p_matches_the_vmax_loop(self):
+        # odd p of the split class, prime or not: equal counts, or NotSplittingError from both
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        def outcome(fn, m, n, p):
+            try:
+                return fn(m, n, p)
+            except NotSplittingError:
+                return "raised"
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(st.integers(1, 4), st.integers(1, 10**6), st.integers(1, 400))
+        def check(n, m, k):
+            p = 1 + k * (2 << n)
+            assert outcome(alpha_p, m, n, p) == outcome(alpha_p_by_vmax, m, n, p), (m, n, p)
+
+        check()
+        for m, n, p in ((2, 1, 9), (17, 1, 325), (100, 1, 325), (1302, 2, 1297), (1303, 2, 1297)):
+            assert outcome(alpha_p, m, n, p) == outcome(alpha_p_by_vmax, m, n, p), (m, n, p)
+
+    @pytest.mark.long
+    def test_alpha_p_at_n20_forms_no_vmax(self):
+        # m^(2^20)+1 has 41.8 million bits; alpha_p never forms it
+        p = 1099543085057
+        assert p % (1 << 21) == 1 and is_prime(p)
+        start = time.perf_counter()
+        assert alpha_p(10**12, 20, p) == 953396
+        assert time.perf_counter() - start < 5
 
     def test_alpha_p_oracle_small(self):
         for n in (1, 2):
@@ -211,7 +240,7 @@ class TestStripAndSplit:
         got = table.primes.tolist()
         assert got[: len(want)] == want
         for p, row in zip(want, table.roots.tolist()):
-            assert tuple(sorted(row)) == roots_of_minus_one(n, p).roots, (n, p)
+            assert tuple(sorted(row)) == roots_of_minus_one(n, p), (n, p)
 
     def test_split_roots_refuses_wrapped_arithmetic(self):
         # uint32 squares of residues of these primes wrap, so no g passes the
@@ -555,15 +584,15 @@ class TestChainLinks:
         # two roots lifted mod 1297^2, of order >= 2, the smaller not the exempt last solution:
         # anchor 6 fails that half of the order-1 check and the search falls back to anchor 4
         real = prodorders.roots_of_minus_one
-        lifts = lifted_roots(2, 1297, 2).roots
+        lifts = lifted_roots(2, 1297, 2)
 
         def planted(n, p):
-            rs = real(n, p)
+            roots = real(n, p)
             if (n, p) != (2, 1297):
-                return rs
+                return roots
             if half == "mod_p":
-                return RootSet(n, p, rs.roots[:-1] + (rs.roots[-1] - 1,))
-            return RootSet(n, p, rs.roots[:2] + lifts[:2])
+                return roots[:-1] + (roots[-1] - 1,)
+            return roots[:2] + lifts[:2]
 
         monkeypatch.setattr(prodorders, "roots_of_minus_one", planted)
         link = _next_link(2, 8, _anchor_cap(2))
